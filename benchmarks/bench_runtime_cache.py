@@ -10,6 +10,10 @@ routinely) under four runtime configurations and writes the numbers to
 - ``parallel_cold`` — jobs=N on a fresh cache directory;
 - ``parallel_warm`` — jobs=N on the shared warm store.
 
+With a single worker the parallel legs would repeat the serial ones, so
+they are skipped: ``parallel_vs_serial_cold`` is ``null`` and
+``parallel_note`` says why.
+
 Run with::
 
     python benchmarks/bench_runtime_cache.py [--quick] [--jobs N] [--out PATH]
@@ -72,19 +76,25 @@ def run_bench(quick: bool, jobs: int, repeats: int = 3) -> dict:
         warm_s, warm_cfg, _ = _run_f1(grid, jobs=1, cache_dir=os.path.join(serial_store, "rep0"))
         assert warm_cfg.cache.misses == 0, "warm serial re-run must be fully cached"
 
-        cold_p, _, _ = _best_cold(grid, jobs, parallel_store, repeats)
-        warm_p, warm_p_cfg, _ = _run_f1(
-            grid, jobs=jobs, cache_dir=os.path.join(parallel_store, "rep0")
-        )
-
         results["serial_cold"] = {"seconds": cold_s, "cache_misses": cold_cfg.cache.misses}
         results["serial_warm"] = {"seconds": warm_s, "cache_misses": warm_cfg.cache.misses}
-        results["parallel_cold"] = {"seconds": cold_p, "jobs": jobs}
-        results["parallel_warm"] = {
-            "seconds": warm_p,
-            "jobs": jobs,
-            "cache_misses": warm_p_cfg.cache.misses,
-        }
+        parallel_speedup = None
+        parallel_note = (
+            "one worker available: a parallel leg would repeat the serial one"
+        )
+        if jobs > 1:
+            cold_p, _, _ = _best_cold(grid, jobs, parallel_store, repeats)
+            warm_p, warm_p_cfg, _ = _run_f1(
+                grid, jobs=jobs, cache_dir=os.path.join(parallel_store, "rep0")
+            )
+            results["parallel_cold"] = {"seconds": cold_p, "jobs": jobs}
+            results["parallel_warm"] = {
+                "seconds": warm_p,
+                "jobs": jobs,
+                "cache_misses": warm_p_cfg.cache.misses,
+            }
+            parallel_speedup = round(cold_s / max(cold_p, 1e-9), 2)
+            parallel_note = None
 
     return {
         "benchmark": "F1 width sweep runtime",
@@ -96,9 +106,9 @@ def run_bench(quick: bool, jobs: int, repeats: int = 3) -> dict:
         "speedup": {
             "warm_cache_vs_cold": round(results["serial_cold"]["seconds"]
                                         / max(results["serial_warm"]["seconds"], 1e-9), 2),
-            "parallel_vs_serial_cold": round(results["serial_cold"]["seconds"]
-                                             / max(results["parallel_cold"]["seconds"], 1e-9), 2),
+            "parallel_vs_serial_cold": parallel_speedup,
         },
+        "parallel_note": parallel_note,
     }
 
 
@@ -128,10 +138,15 @@ def main(argv: list[str] | None = None) -> int:
           f"({r['serial_cold']['cache_misses']} solves)")
     print(f"serial warm   : {r['serial_warm']['seconds']:7.2f}s "
           f"({r['serial_warm']['cache_misses']} fresh solves)")
-    print(f"parallel cold : {r['parallel_cold']['seconds']:7.2f}s (jobs={r['parallel_cold']['jobs']})")
-    print(f"parallel warm : {r['parallel_warm']['seconds']:7.2f}s")
+    if payload["parallel_note"] is None:
+        print(f"parallel cold : {r['parallel_cold']['seconds']:7.2f}s "
+              f"(jobs={r['parallel_cold']['jobs']})")
+        print(f"parallel warm : {r['parallel_warm']['seconds']:7.2f}s")
+    else:
+        print(f"parallel      : skipped ({payload['parallel_note']})")
+    parallel = payload["speedup"]["parallel_vs_serial_cold"]
     print(f"speedups      : warm-cache {payload['speedup']['warm_cache_vs_cold']}x, "
-          f"parallel {payload['speedup']['parallel_vs_serial_cold']}x")
+          f"parallel {'n/a' if parallel is None else f'{parallel}x'}")
     print(f"wrote {args.out}")
     return 0
 

@@ -793,6 +793,9 @@ class BranchAndBoundSolver:
             node_event(depth=depth, bound=bound, incumbent=incumbent)
             if bound >= self._cutoff():
                 # Best-first order: every remaining node is at least as bad.
+                # The popped bound may overshoot the incumbent, which is
+                # then the proven optimum: report that, not the overshoot.
+                self._stats.best_bound = min(bound, self._incumbent_obj)
                 self._stats.gap = max(0.0, self._incumbent_obj - bound)
                 return Status.OPTIMAL if self._incumbent_x is not None else Status.INFEASIBLE
 

@@ -20,6 +20,19 @@ run with zero reliance on external solver behaviour:
   flips cannot repair, tiny pivots, iteration cap — returns a ``fallback``
   result and the caller re-solves cold (see DESIGN.md §13).
 
+  Both children of a node restart from the same parent basis, so every
+  optimal solve leaves its final factorization ``(B^-1, d, age)`` in a
+  :class:`FactorCache` under a fresh :attr:`Basis.key`; a child whose key
+  still hits skips the ``O(m^3)`` inversion and the pricing pass. The
+  cache is a bounded LRU over one preallocated slab per engine
+  (``FACTOR_CACHE_BYTES``): one array per cached basis fragmented the
+  allocator's heap badly enough (8x the minor page faults) to slow bound
+  propagation by as much as the cache saved. Within a solve, pivots update
+  ``B^-1`` in place (one BLAS rank-1 update) and the reduced costs
+  incrementally along the pivot row; ``d`` is re-priced from scratch at
+  every refactorization and at every optimal return, and the refactor
+  cadence counts updates carried across solves.
+
 Both engines accept the general bounded form
 
     min c'x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub
@@ -27,10 +40,13 @@ Both engines accept the general bounded form
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from repro.ilp.model import MatrixForm
 
@@ -299,6 +315,17 @@ NB_LOWER, NB_UPPER, NB_FREE, IN_BASIS = 0, 1, 2, 3
 _DTOL = 1e-9
 #: Primal feasibility tolerance for basic values.
 _PTOL = 1e-7
+#: A cached inverse must map ``B @ 1`` back to ``1`` within this.
+_FACTOR_TOL = 1e-6
+
+#: Memory budget of one engine's factor cache (its slab), in bytes.
+FACTOR_CACHE_BYTES = 4 << 20
+#: Upper bound on the factor cache's slot count, whatever ``m`` is.
+FACTOR_CACHE_SLOTS = 512
+
+#: Process-wide basis keys: a key never repeats, so a basis handed to an
+#: engine that did not produce it can only miss.
+_BASIS_KEYS = itertools.count(1)
 
 
 @dataclass
@@ -309,11 +336,14 @@ class Basis:
     ``status`` tags every column. ``generation`` identifies the constraint
     matrix the basis was factorized against — cut rounds rebuild the matrix
     and bump the engine's generation, which invalidates stale bases.
+    ``key`` names the engine's cached factorization of this basis (``0``:
+    none was kept).
     """
 
     basic: np.ndarray
     status: np.ndarray
     generation: int = 0
+    key: int = 0
 
 
 @dataclass
@@ -333,6 +363,75 @@ class WarmLpResult:
     basis: Basis | None = None
 
 
+class FactorCache:
+    """Bounded LRU of basis factorizations held in one preallocated slab.
+
+    Slot ``s`` holds ``binv[s]`` (an ``m x m`` basis inverse), ``d[s]`` (the
+    reduced costs it prices) and ``age[s]`` (product-form updates since its
+    last refactorization). The slab is allocated on the first store and
+    never grows: ``min(FACTOR_CACHE_SLOTS, FACTOR_CACHE_BYTES // (8 (m^2 +
+    width)))`` slots, zero when one factorization alone exceeds the budget
+    (the cache then keeps nothing).
+    """
+
+    def __init__(self, m: int, width: int):
+        self.slots = min(FACTOR_CACHE_SLOTS, FACTOR_CACHE_BYTES // (8 * (m * m + width)))
+        self._shape = (m, width)
+        self.binv = np.empty((0, m, m))
+        self.d = np.empty((0, width))
+        self.age = np.zeros(self.slots, dtype=np.int64)
+        self._slot_of: OrderedDict[int, int] = OrderedDict()
+        self._free = list(range(self.slots - 1, -1, -1))
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the slab (zero until the first store)."""
+        return self.binv.nbytes + self.d.nbytes
+
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._slot_of
+
+    def lookup(self, key: int) -> int | None:
+        """The slot caching ``key``, marked most recently used; else None."""
+        slot = self._slot_of.get(key)
+        if slot is None:
+            self.misses += 1
+            return None
+        self._slot_of.move_to_end(key)
+        self.hits += 1
+        return slot
+
+    def store(self, binv: np.ndarray, d: np.ndarray, age: int) -> int:
+        """Copy one factorization into a slot; returns its new key (0: not kept)."""
+        if self.slots == 0:
+            return 0
+        if not self.binv.size:
+            m, width = self._shape
+            self.binv = np.empty((self.slots, m, m))
+            self.d = np.empty((self.slots, width))
+        if self._free:
+            slot = self._free.pop()
+        else:
+            _, slot = self._slot_of.popitem(last=False)
+        np.copyto(self.binv[slot], binv)
+        np.copyto(self.d[slot], d)
+        self.age[slot] = age
+        key = next(_BASIS_KEYS)
+        self._slot_of[key] = slot
+        return key
+
+    def discard(self, key: int) -> None:
+        """Forget ``key``; its slot goes back to the free list."""
+        slot = self._slot_of.pop(key, None)
+        if slot is not None:
+            self._free.append(slot)
+
+
 class RevisedSimplex:
     """Bounded-variable revised dual simplex over one constraint matrix.
 
@@ -342,6 +441,8 @@ class RevisedSimplex:
     solves. ``solve`` accepts per-node ``lb``/``ub`` overrides plus an
     optional parent :class:`Basis`; the basis inverse is kept explicitly
     and updated by product-form pivots with periodic refactorization.
+    Every optimal solve leaves its final factorization in :attr:`factors`,
+    so a child re-solving from that basis skips the inversion.
     """
 
     def __init__(
@@ -375,6 +476,10 @@ class RevisedSimplex:
         self.generation = generation
         self.max_iter = max_iter
         self.refactor_every = refactor_every
+        self.factors = FactorCache(m, n + m)
+        # Working factorization, reused by every solve (no per-solve arrays).
+        self._binv = np.empty((m, m))
+        self._d = np.empty(n + m)
 
     # ------------------------------------------------------------------ basis
     def initial_basis(self, lb: np.ndarray, ub: np.ndarray) -> Basis | None:
@@ -409,6 +514,36 @@ class RevisedSimplex:
             basic=np.arange(n, n + m), status=status, generation=self.generation
         )
 
+    def _price(self, bas: np.ndarray) -> None:
+        """Recompute the reduced costs ``d = c - (c_B B^-1) W`` from scratch."""
+        np.subtract(self.c, (self.c[bas] @ self._binv) @ self.w, out=self._d)
+
+    def _refactor(self, bas: np.ndarray) -> bool:
+        """Invert ``W[:, bas]`` into the working factorization and reprice."""
+        try:
+            self._binv[...] = np.linalg.inv(self.w[:, bas])
+        except np.linalg.LinAlgError:
+            return False
+        self._price(bas)
+        return True
+
+    def _restore(self, slot: int, key: int, bas: np.ndarray) -> int | None:
+        """Load cached slot ``slot`` as the working factorization; its age.
+
+        ``None`` when the cached inverse no longer maps ``B @ 1`` back to
+        ``1``: the slot is dropped and the caller falls back, as for any
+        other numerical doubt.
+        """
+        binv = self._binv
+        np.copyto(binv, self.factors.binv[slot])
+        np.copyto(self._d, self.factors.d[slot])
+        member = np.zeros(self.n + self.m)
+        member[bas] = 1.0
+        if not np.all(np.abs(binv @ (self.w @ member) - 1.0) <= _FACTOR_TOL):
+            self.factors.discard(key)
+            return None
+        return int(self.factors.age[slot])
+
     # ------------------------------------------------------------------ solve
     def solve(
         self,
@@ -420,10 +555,12 @@ class RevisedSimplex:
         """Reoptimize under new bounds, warm from ``basis`` when possible.
 
         A stale-generation (or absent) basis falls back to the all-slack
-        start. ``cutoff`` is an objective value (including the constant
-        offset): the dual objective is a monotone lower bound, so the solve
-        stops with ``"cutoff"`` as soon as it crosses — the caller prunes
-        the node without finishing the LP.
+        start. A basis whose ``key`` is still in :attr:`factors` restarts
+        from the cached inverse and reduced costs; any other basis is
+        inverted afresh. ``cutoff`` is an objective value (including the
+        constant offset): the dual objective is a monotone lower bound, so
+        the solve stops with ``"cutoff"`` as soon as it crosses — the
+        caller prunes the node without finishing the LP.
         """
         n, m = self.n, self.m
         if np.any(lb > ub):
@@ -439,13 +576,19 @@ class RevisedSimplex:
         status[bas] = IN_BASIS
         big_l = np.concatenate([lb, self.slack_lb])
         big_u = np.concatenate([ub, self.slack_ub])
-        try:
-            binv = np.linalg.inv(self.w[:, bas])
-        except np.linalg.LinAlgError:
-            return WarmLpResult("fallback", None, None)
+        binv, d = self._binv, self._d
+        slot = self.factors.lookup(basis.key) if basis.key else None
+        if slot is None:
+            if not self._refactor(bas):
+                return WarmLpResult("fallback", None, None)
+            age = 0
+        else:
+            restored = self._restore(slot, basis.key, bas)
+            if restored is None:
+                return WarmLpResult("fallback", None, None)
+            age = restored
 
         # Repair dual feasibility by bound flips; unfixable columns bail.
-        d = self.c - (self.c[bas] @ binv) @ self.w
         fixed = big_u - big_l <= _DTOL
         bad_lo = (status == NB_LOWER) & ~fixed & (d < -_DTOL * 10)
         flip = bad_lo & np.isfinite(big_u)
@@ -466,7 +609,6 @@ class RevisedSimplex:
             return WarmLpResult("fallback", None, None)
 
         iterations = 0
-        since_refactor = 0
         while iterations < self.max_iter:
             z = nb_value.copy()
             z[bas] = 0.0
@@ -481,21 +623,30 @@ class RevisedSimplex:
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if viol[r] <= _PTOL * (1.0 + abs(xb[r])):
-                d = self.c - (self.c[bas] @ binv) @ self.w
+                if age and np.max(np.abs(self.w @ z - self.b)) > _PTOL:
+                    # Updates carried in from earlier solves have drifted
+                    # the point off its rows: refactor and look again.
+                    if not self._refactor(bas):
+                        return WarmLpResult("fallback", None, None, iterations)
+                    age = 0
+                    continue
+                # Leave with fresh reduced costs, never incrementally drifted
+                # ones: root duals drive reduced-cost fixing.
+                self._price(bas)
+                key = self.factors.store(binv, d, age)
                 return WarmLpResult(
                     "optimal",
                     z[:n].copy(),
                     objective,
                     iterations,
                     reduced_costs=d[:n].copy(),
-                    basis=Basis(basic=bas, status=status, generation=self.generation),
+                    basis=Basis(basic=bas, status=status, generation=self.generation, key=key),
                 )
 
             leaving_low = below[r] >= above[r]
             sigma = 1.0 if leaving_low else -1.0
             alpha = binv[r] @ self.w
             atil = sigma * alpha
-            d = self.c - (self.c[bas] @ binv) @ self.w
             eligible = (
                 ~fixed
                 & (
@@ -512,6 +663,9 @@ class RevisedSimplex:
             q = int(cand[int(np.argmin(ratios))])
             pivot = alpha[q]
             if abs(pivot) < 1e-11:
+                if age and self._refactor(bas):
+                    age = 0  # a drifted inverse may fake a tiny pivot
+                    continue
                 return WarmLpResult("fallback", None, None, iterations)
 
             leaving = int(bas[r])
@@ -520,18 +674,20 @@ class RevisedSimplex:
             status[q] = IN_BASIS
             nb_value[q] = 0.0
             bas[r] = q
+            # Dual update along the pivot row the ratio test already priced.
+            d -= (d[q] / pivot) * alpha
+            d[q] = 0.0
+            # Product-form update B^-1 <- B^-1 - (col - e_r) (row_r / pivot),
+            # as one in-place BLAS rank-1 update on the row-major inverse.
             col = binv @ self.w[:, q]
-            binv[r] /= pivot
-            rows = np.arange(m) != r
-            binv[rows] -= np.outer(col[rows], binv[r])
+            col[r] -= 1.0
+            dger(-1.0, binv[r] / pivot, col, a=binv.T, overwrite_a=True)
             iterations += 1
-            since_refactor += 1
-            if since_refactor >= self.refactor_every:
-                try:
-                    binv = np.linalg.inv(self.w[:, bas])
-                except np.linalg.LinAlgError:
+            age += 1
+            if age >= self.refactor_every:
+                if not self._refactor(bas):
                     return WarmLpResult("fallback", None, None, iterations)
-                since_refactor = 0
+                age = 0
         return WarmLpResult("fallback", None, None, iterations)
 
     def _solve_unconstrained(self, lb: np.ndarray, ub: np.ndarray) -> WarmLpResult:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DesignProblem, design
 from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
 from repro.obs import SolvePolicy
+from repro.soc import build_s1, build_s2
+from repro.tam import TamArchitecture
 
 
 def knapsack_model(weights, profits, capacity):
@@ -133,6 +136,58 @@ class TestStats:
         assert sol.stats.incumbent_updates >= 1
 
 
+def assignment_model(seed):
+    """A random min-makespan assignment MILP (jobs onto machines)."""
+    rng = np.random.default_rng(seed)
+    jobs, machines = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+    times = rng.integers(1, 30, size=(jobs, machines))
+    m = Model("assign")
+    x = {
+        (i, j): m.add_binary(f"x{i}_{j}") for i in range(jobs) for j in range(machines)
+    }
+    T = m.add_var("T")
+    for i in range(jobs):
+        m.add_constr(quicksum(x[i, j] for j in range(machines)) == 1)
+    for j in range(machines):
+        m.add_constr(
+            quicksum(int(times[i, j]) * x[i, j] for i in range(jobs)) <= T
+        )
+    m.minimize(T)
+    return m
+
+
+class TestReportedBound:
+    """An OPTIMAL solve never reports a dual bound above its own objective.
+
+    The best-first loop stops on a popped node whose bound reaches the
+    incumbent; that bound may overshoot the incumbent, and the serial-timing
+    designs below all did before the exit clamped it.
+    """
+
+    @pytest.mark.parametrize(
+        "build, widths",
+        [
+            (build_s1, (24, 16, 8)),
+            (build_s2, (16, 8, 8)),
+            (build_s2, (12, 12, 8)),
+            (build_s2, (32, 16)),
+            (build_s2, (16, 16, 16)),
+        ],
+    )
+    def test_design_bound_never_exceeds_optimum(self, build, widths):
+        problem = DesignProblem(build(), TamArchitecture(list(widths)), timing="serial")
+        result = design(problem, cache=False)
+        assert result.status is Status.OPTIMAL
+        assert result.stats.best_bound <= result.makespan + 1e-9
+
+    @given(st.integers(0, 500))
+    @settings(max_examples=25)
+    def test_milp_bound_never_exceeds_optimum(self, seed):
+        sol = assignment_model(seed).solve(cache=False)
+        assert sol.status is Status.OPTIMAL
+        assert sol.stats.best_bound <= sol.objective + 1e-9
+
+
 @st.composite
 def random_milp(draw):
     """Random bounded binary MILPs (maximization knapsack-like with extras)."""
@@ -165,21 +220,7 @@ class TestAgainstHighs:
     @given(st.integers(0, 500))
     @settings(max_examples=25)
     def test_assignment_instances_match(self, seed):
-        rng = np.random.default_rng(seed)
-        jobs, machines = int(rng.integers(3, 7)), int(rng.integers(2, 4))
-        times = rng.integers(1, 30, size=(jobs, machines))
-        m = Model("assign")
-        x = {
-            (i, j): m.add_binary(f"x{i}_{j}") for i in range(jobs) for j in range(machines)
-        }
-        T = m.add_var("T")
-        for i in range(jobs):
-            m.add_constr(quicksum(x[i, j] for j in range(machines)) == 1)
-        for j in range(machines):
-            m.add_constr(
-                quicksum(int(times[i, j]) * x[i, j] for i in range(jobs)) <= T
-            )
-        m.minimize(T)
+        m = assignment_model(seed)
         ours = m.solve()
         ref = m.solve(backend="scipy")
         assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
