@@ -10,7 +10,9 @@ harness) under four solver configurations and writes the numbers to
   exactly the pre-fast-path solver, same grid;
 - ``fast_warm`` — defaults re-run on the populated disk cache (every solve
   answered from the store);
-- ``fast_cold_jobsN`` — defaults, cold cache, parallel fan-out;
+- ``fast_cold_jobsN`` — defaults, cold cache, parallel fan-out. With a
+  single worker this leg would repeat ``fast_cold``, so it is skipped:
+  ``parallel_vs_serial_cold`` is ``null`` and ``parallel_note`` says why;
 - ``cuts_off`` / ``cuts_on`` — the same sweep under a tight layout budget
   (grid floorplan, ``max_pair_distance=3.0``) with branch-and-cut disabled
   vs the default :class:`~repro.api.CutPolicy` — the pairwise exclusion
@@ -244,7 +246,15 @@ def run_bench(quick: bool, jobs: int) -> dict:
             _run_sweep(soc, grid, jobs=1)  # populate
             results["fast_warm"] = _run_sweep(soc, grid, jobs=1)
         assert results["fast_warm"]["nodes"] == 0, "warm re-run must be fully cached"
-        results[f"fast_cold_jobs{jobs}"] = _run_sweep(soc, grid, jobs=jobs)
+        parallel_speedup = None
+        parallel_note = "one worker available: a parallel leg would repeat fast_cold"
+        if jobs > 1:
+            parallel = _run_sweep(soc, grid, jobs=jobs)
+            results[f"fast_cold_jobs{jobs}"] = parallel
+            parallel_speedup = round(
+                results["fast_cold"]["seconds"] / max(parallel["seconds"], 1e-9), 2
+            )
+            parallel_note = None
 
     cuts_grid = _cuts_grid(quick)
     results["cuts_off"] = _run_layout_sweep(soc, cuts_grid, CutPolicy.disabled())
@@ -267,11 +277,7 @@ def run_bench(quick: bool, jobs: int) -> dict:
             "cold_wall_time": round(base["seconds"] / max(fast["seconds"], 1e-9), 2),
             "node_reduction": round(base["nodes"] / max(fast["nodes"], 1), 2),
             "lp_solve_reduction": round(base["lp_solves"] / max(fast["lp_solves"], 1), 2),
-            "parallel_vs_serial_cold": round(
-                fast["seconds"]
-                / max(results[f"fast_cold_jobs{jobs}"]["seconds"], 1e-9),
-                2,
-            ),
+            "parallel_vs_serial_cold": parallel_speedup,
             "cuts_node_reduction": round(
                 results["cuts_off"]["nodes"] / max(results["cuts_on"]["nodes"], 1), 2
             ),
@@ -288,6 +294,7 @@ def run_bench(quick: bool, jobs: int) -> dict:
                 3,
             ),
         },
+        "parallel_note": parallel_note,
     }
 
 
@@ -407,8 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{leg:22s}: {row['seconds']:7.2f}s  nodes={row['nodes']:<7d} "
               f"LPs={row['lp_solves']:<7d} jobs={row['jobs']}")
     s = payload["speedup"]
+    parallel = s["parallel_vs_serial_cold"]
+    parallel_text = "n/a" if parallel is None else f"{parallel}x"
     print(f"speedups: cold wall {s['cold_wall_time']}x, nodes {s['node_reduction']}x, "
-          f"LPs {s['lp_solve_reduction']}x, parallel {s['parallel_vs_serial_cold']}x, "
+          f"LPs {s['lp_solve_reduction']}x, parallel {parallel_text}, "
           f"cuts nodes {s['cuts_node_reduction']}x, "
           f"presolve+warm step {s['presolve_warm_step']}x "
           f"(warm share {s['warm_lp_share']:.0%})")

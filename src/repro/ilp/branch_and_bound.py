@@ -233,15 +233,16 @@ class BranchAndBoundSolver:
             self._resume_from_checkpoint()
 
     def _bind_form(self, form: MatrixForm) -> None:
-        """Point the search machinery at ``form`` (original or reduced).
+        """Point the search arrays at ``form`` (original or reduced).
 
         Cuts append rows to a rebuilt ``self._form``; ``self._base_form``
         stays at the bound form so separation always derives from uncut
-        rows and cut validity survives pool rebuilds.
+        rows and cut validity survives pool rebuilds. The LP workspace and
+        warm engine are built by :meth:`_build_engines` once the search
+        form is final, so root presolve never pays for a discarded pair.
         """
         self._form = form
         self._base_form = form
-        self._workspace = LpWorkspace(form)
         self._int_indices = np.flatnonzero(form.integer_mask)
         self._int_mask = form.integer_mask
         # Root bounds shared by every node materialization; reduced-cost
@@ -254,8 +255,14 @@ class BranchAndBoundSolver:
         self._pc_dn_n = np.zeros(n, dtype=np.int64)
         self._pc_up_n = np.zeros(n, dtype=np.int64)
         self._basis_generation = 0
+
+    def _build_engines(self) -> None:
+        """Build the LP workspace (with its propagation tables) and the warm engine."""
+        self._workspace = LpWorkspace(self._form)
         self._warm_engine = (
-            RevisedSimplex(form, generation=0) if self.lp_warm_start else None
+            RevisedSimplex(self._form, generation=self._basis_generation)
+            if self.lp_warm_start
+            else None
         )
 
     def _install_warm_start(self, values: dict) -> None:
@@ -567,15 +574,11 @@ class BranchAndBoundSolver:
         assert self._cut_pool is not None
         pairs = [cut.as_pair(self._base_form.num_vars) for cut in self._cut_pool.active]
         self._form = append_cuts(self._base_form, pairs)
-        self._workspace = LpWorkspace(self._form)
         # The constraint matrix changed shape: bump the basis generation so
         # every basis snapshot taken against the old matrix goes stale, and
-        # refit the warm engine to the cut-extended rows.
+        # refit the workspace and warm engine to the cut-extended rows.
         self._basis_generation += 1
-        if self._warm_engine is not None:
-            self._warm_engine = RevisedSimplex(
-                self._form, generation=self._basis_generation
-            )
+        self._build_engines()
 
     def _separate_root(self, root: LpResult) -> LpResult:
         """Separation rounds at the root; returns the final root relaxation."""
@@ -686,6 +689,7 @@ class BranchAndBoundSolver:
             # Bind even on an identity column mapping: bound tightening and
             # row cleanup change the form without touching any column.
             self._bind_form(reduced)
+        self._build_engines()
 
         if self.presolve:
             with span("root_presolve") as presolve_span:

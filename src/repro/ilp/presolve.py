@@ -22,10 +22,12 @@ Two families of tightenings run before (or instead of) a node's LP solve:
   the whole tree, so the solver applies them globally and re-applies them
   every time the incumbent improves.
 
-Everything is vectorized: the per-:class:`~repro.ilp.model.MatrixForm` row
-tables are precomputed once (:class:`PropagationTables`, owned by the LP
-workspace) and each node pays only dense numpy arithmetic, no Python loop
-over rows or columns.
+Everything is vectorized and sparse: the per-:class:`~repro.ilp.model.MatrixForm`
+row tables keep only the nonzeros of the stacked rows and are built once
+(:class:`PropagationTables`, owned by the LP workspace). Each round pays a
+few gathers, one bincount and two segmented reductions over those
+nonzeros: no Python loop over rows or columns and no dense ``rows x n``
+array.
 """
 
 from __future__ import annotations
@@ -47,50 +49,79 @@ UB_TIGHTENED = 1
 
 
 class PropagationTables:
-    """Precomputed row tables for bound propagation over one ``MatrixForm``.
+    """Sparse row tables for bound propagation over one ``MatrixForm``.
 
     The propagation matrix stacks ``A_ub``, both directions of ``A_eq``, and
     (when the objective has support) the objective row, whose right-hand
-    side is the incumbent cutoff supplied per call. Positive/negative parts
-    and elementwise reciprocals are cached so each propagation round is a
-    couple of matmuls.
+    side is the incumbent cutoff supplied per call. Only its nonzeros are
+    kept: ``row``, ``col``, ``val`` and the reciprocal ``inv``, with the
+    ``num_pos`` positive entries first and the negative ones after, each
+    sign block in column-major order. A positive entry bounds its column
+    from above and reads the column's lower bound in the minimum activity;
+    a negative one the other way round. Each propagation round is a gather
+    of one bound per nonzero, one ``bincount`` for the minimum activities,
+    a gather of per-nonzero ratios and one segmented reduction per
+    direction.
     """
 
     def __init__(self, form: MatrixForm):
-        n = form.num_vars
-        blocks: list[np.ndarray] = []
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         rhs_blocks: list[np.ndarray] = []
+        num_rows = 0
         if form.a_ub.size:
-            blocks.append(form.a_ub)
+            r, c = np.nonzero(form.a_ub)
+            blocks.append((r, c, form.a_ub[r, c]))
             rhs_blocks.append(form.b_ub)
+            num_rows += form.a_ub.shape[0]
         if form.a_eq.size:
-            blocks.append(form.a_eq)
+            r, c = np.nonzero(form.a_eq)
+            v = form.a_eq[r, c]
+            m_eq = form.a_eq.shape[0]
+            blocks.append((r + num_rows, c, v))
+            blocks.append((r + num_rows + m_eq, c, -v))
             rhs_blocks.append(form.b_eq)
-            blocks.append(-form.a_eq)
             rhs_blocks.append(-form.b_eq)
+            num_rows += 2 * m_eq
         self.has_objective_row = bool(np.any(form.c))
         if self.has_objective_row:
-            blocks.append(form.c.reshape(1, n))
+            c = np.flatnonzero(form.c)
+            blocks.append((np.full(c.size, num_rows), c, form.c[c]))
             rhs_blocks.append(np.array([math.inf]))
+            num_rows += 1
         self.c0 = form.c0
+        self.num_rows = num_rows
+        self.rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
         if blocks:
-            rows = np.vstack(blocks)
-            rhs = np.concatenate(rhs_blocks)
+            row = np.concatenate([b[0] for b in blocks]).astype(np.intp)
+            col = np.concatenate([b[1] for b in blocks]).astype(np.intp)
+            val = np.concatenate([b[2] for b in blocks]).astype(float)
         else:
-            rows = np.zeros((0, n))
-            rhs = np.zeros(0)
-        self.rows = rows
-        self.rhs = rhs
-        self.pos = np.maximum(rows, 0.0)
-        self.neg = np.minimum(rows, 0.0)
-        self.pos_mask = rows > 0.0
-        self.neg_mask = rows < 0.0
-        with np.errstate(divide="ignore"):
-            self.inv = np.where(rows != 0.0, 1.0 / np.where(rows != 0.0, rows, 1.0), 0.0)
+            row = col = np.zeros(0, dtype=np.intp)
+            val = np.zeros(0)
+        # Positive block first, then negative; columns ascending within each
+        # block and rows ascending within each column (lexsort is stable).
+        order = np.lexsort((col, val < 0.0))
+        self.row = row[order]
+        self.col = col[order]
+        self.val = val[order]
+        self.inv = 1.0 / self.val
+        k = self.num_pos = int(np.count_nonzero(self.val > 0.0))
+        # The activity bincount runs over 2 * num_rows bins, negative terms
+        # shifted up by num_rows, so the positive and negative parts of a
+        # row are summed apart and then added: ``pos @ lb + neg @ ub``.
+        self.sum_bins = self.row.copy()
+        self.sum_bins[k:] += num_rows
+        # Segment starts and owning columns for the per-column reductions.
+        self.ub_starts, self.ub_cols = _segments(self.col[:k])
+        self.lb_starts, self.lb_cols = _segments(self.col[k:])
 
-    @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
+
+def _segments(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets of each run of equal values in sorted ``cols``, and the values."""
+    if cols.size == 0:
+        return np.zeros(0, dtype=np.intp), cols
+    starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+    return starts, cols[starts]
 
 
 def propagate_bounds(
@@ -120,33 +151,42 @@ def propagate_bounds(
     changes: list[tuple[int, int, float]] = []
     clb = np.clip(lb, -_BIG, _BIG)
     cub = np.clip(ub, -_BIG, _BIG)
+    m, k = tables.num_rows, tables.num_pos
+    row, val, inv = tables.row, tables.val, tables.inv
+    ub_cols, lb_cols = tables.ub_cols, tables.lb_cols
+    ub_int, lb_int = integer_mask[ub_cols], integer_mask[lb_cols]
+    infeasible_below = -tol * (1.0 + np.abs(rhs))
+    # Per nonzero: the bound its column contributes to the minimum activity,
+    # which is also the base of that column's candidate bound.
+    bound = np.empty(val.size)
+    pos_bound, neg_bound = bound[:k], bound[k:]
+    pos_cols, neg_cols = tables.col[:k], tables.col[k:]
     for _ in range(max_rounds):
-        min_activity = tables.pos @ clb + tables.neg @ cub
-        slack = rhs - min_activity
-        if np.any(slack < -tol * (1.0 + np.abs(rhs))):
+        np.take(clb, pos_cols, out=pos_bound)
+        np.take(cub, neg_cols, out=neg_bound)
+        sums = np.bincount(tables.sum_bins, val * bound, 2 * m)
+        slack = rhs - (sums[:m] + sums[m:])
+        if np.any(slack < infeasible_below):
             return False, changes
-        with np.errstate(invalid="ignore"):
-            ratio = slack[:, None] * tables.inv
-            ub_cand = np.where(tables.pos_mask, clb[None, :] + ratio, math.inf)
-            lb_cand = np.where(tables.neg_mask, cub[None, :] + ratio, -math.inf)
-        new_ub = np.min(ub_cand, axis=0) if ub_cand.size else cub
-        new_lb = np.max(lb_cand, axis=0) if lb_cand.size else clb
-        new_ub = np.where(integer_mask, np.floor(new_ub + tol), new_ub)
-        new_lb = np.where(integer_mask, np.ceil(new_lb - tol), new_lb)
-        improved_ub = np.flatnonzero(new_ub < cub - tol)
-        improved_lb = np.flatnonzero(new_lb > clb + tol)
-        if improved_ub.size == 0 and improved_lb.size == 0:
+        cand = bound + slack[row] * inv
+        # Only columns with an entry of the right sign can move; the rest
+        # would reduce to +-inf, which never tightens.
+        new_ub = np.minimum.reduceat(cand[:k], tables.ub_starts) if ub_cols.size else cand[:0]
+        new_lb = np.maximum.reduceat(cand[k:], tables.lb_starts) if lb_cols.size else cand[:0]
+        new_ub = np.where(ub_int, np.floor(new_ub + tol), new_ub)
+        new_lb = np.where(lb_int, np.ceil(new_lb - tol), new_lb)
+        hit_ub = new_ub < cub[ub_cols] - tol
+        hit_lb = new_lb > clb[lb_cols] + tol
+        if not hit_ub.any() and not hit_lb.any():
             break
-        for j in improved_ub:
-            value = float(new_ub[j])
+        for j, value in zip(ub_cols[hit_ub].tolist(), new_ub[hit_ub].tolist()):
             cub[j] = value
             ub[j] = value
-            changes.append((int(j), UB_TIGHTENED, value))
-        for j in improved_lb:
-            value = float(new_lb[j])
+            changes.append((j, UB_TIGHTENED, value))
+        for j, value in zip(lb_cols[hit_lb].tolist(), new_lb[hit_lb].tolist()):
             clb[j] = value
             lb[j] = value
-            changes.append((int(j), LB_TIGHTENED, value))
+            changes.append((j, LB_TIGHTENED, value))
         if np.any(clb > cub + tol):
             return False, changes
     return True, changes

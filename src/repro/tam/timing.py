@@ -35,9 +35,9 @@ from repro.wrapper import application_time as wrapper_test_time
 #: Sentinel for "core cannot be assigned to this bus".
 INFEASIBLE_TIME = math.inf
 
-#: Shared structural-signature -> cycles cache. Wrapper design costs
-#: O(width^2) packing passes; every timing model hits the same curve
-#: repeatedly while the designer sweeps architectures. The key captures all
+#: Shared structural-signature -> cycles cache. Every timing model hits the
+#: same wrapper curve repeatedly while the designer sweeps architectures,
+#: and a dict lookup beats even the memoized wrapper record. The key captures all
 #: core fields the wrapper model reads, so same-named cores from different
 #: generators can never collide.
 _TIME_CACHE: dict[tuple, int] = {}

@@ -13,10 +13,18 @@ Internal scan chains are *fixed* once the core is delivered, so wrapper
 design is a bin-packing of chain lengths over ``w`` bins — solved here with
 the LPT (longest processing time first) heuristic the literature uses,
 followed by greedy balancing of the 1-bit functional cells.
+
+A core's whole curve is built incrementally: LPT runs on a
+``(total, index)`` heap, the 1-bit cells are placed by a closed-form water
+fill, and each chain count is packed once per core signature, with a
+running prefix minimum over chain counts giving ``T(w)``. A curve up to
+width ``W`` costs O(W^2 log W) instead of re-packing every chain count for
+every width one cell at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -81,41 +89,126 @@ class WrapperDesign:
 
 
 def _pack_lpt(items: list[int], bins: int) -> list[int]:
-    """LPT bin packing: return per-bin totals after placing items descending."""
+    """LPT bin packing: return per-bin totals after placing items descending.
+
+    Each item goes to the least-loaded bin, the lowest-indexed one on ties;
+    the ``(total, index)`` heap makes that choice in O(log bins).
+    """
     totals = [0] * bins
+    heap = [(0, i) for i in range(bins)]
     for item in sorted(items, reverse=True):
-        totals[totals.index(min(totals))] += item
+        total, i = heap[0]
+        totals[i] = total + item
+        heapq.heapreplace(heap, (total + item, i))
     return totals
 
 
 def _spread_cells(totals: list[int], cells: int) -> list[int]:
-    """Distribute ``cells`` 1-bit wrapper cells, always filling the shortest bin."""
-    totals = list(totals)
-    for _ in range(cells):
-        totals[totals.index(min(totals))] += 1
-    return totals
+    """Distribute ``cells`` 1-bit wrapper cells, always filling the shortest bin.
+
+    Closed form of the one-cell-at-a-time fill (lowest index first on ties):
+    every bin below some level ``L`` rises to ``L``, and the cells left over
+    go one each to the lowest-indexed bins standing at ``L``.
+    """
+    if cells == 0 or not totals:
+        return list(totals)
+    ordered = sorted(totals)
+    prefix = 0
+    for k, total in enumerate(ordered, start=1):
+        prefix += total
+        level = (cells + prefix) // k
+        if k == len(ordered) or level < ordered[k]:
+            break
+    extra = cells + prefix - level * k
+    spread = []
+    for total in totals:
+        if total > level:
+            spread.append(total)
+        elif extra:
+            spread.append(level + 1)
+            extra -= 1
+        else:
+            spread.append(level)
+    return spread
 
 
-#: Structural-signature -> WrapperDesign memo. The packing costs O(width^2)
-#: passes and the designer re-derives identical wrappers across every sweep
-#: point; the key covers every core field the packing reads (plus the name,
-#: which the returned record carries), so distinct cores cannot collide.
+class _WrapperCurve:
+    """Every wrapper of one core signature, extended one chain count at a time.
+
+    ``best[w - 1]`` is the fastest unpadded design using at most ``w``
+    wrapper chains (the fewest chains on ties), with its test time: a
+    running prefix minimum over chain counts, so each count is packed once
+    however many widths are asked for. ``best`` is replaced, never mutated,
+    so a concurrent reader always sees a consistent prefix.
+    """
+
+    __slots__ = ("core", "chains", "best", "designs")
+
+    def __init__(self, core: Core, chains: list[int]):
+        self.core = core
+        self.chains = chains
+        self.best: list[tuple[WrapperDesign, int]] = []
+        self.designs: dict[int, WrapperDesign] = {}
+
+    def design(self, width: int) -> WrapperDesign:
+        cached = self.designs.get(width)
+        if cached is not None:
+            return cached
+        best = self.best
+        if len(best) < width:
+            best = self._extend(best, width)
+        fastest = best[width - 1][0]
+        # Pad to the full width so the record reflects the physical interface.
+        pad = (0,) * (width - fastest.width)
+        design = WrapperDesign(
+            fastest.core_name, width, fastest.in_chains + pad, fastest.out_chains + pad
+        )
+        self.designs[width] = design
+        return design
+
+    def _extend(self, best: list[tuple[WrapperDesign, int]], width: int) -> list[tuple[WrapperDesign, int]]:
+        core = self.core
+        best = list(best)
+        current = best[-1] if best else None
+        for bins in range(len(best) + 1, width + 1):
+            scan_totals = _pack_lpt(self.chains, bins)
+            candidate = WrapperDesign(
+                core.name,
+                bins,
+                tuple(_spread_cells(scan_totals, core.num_inputs)),
+                tuple(_spread_cells(scan_totals, core.num_outputs)),
+            )
+            time = candidate.application_time(core.num_patterns)
+            if current is None or time < current[1]:
+                current = (candidate, time)
+            best.append(current)
+        self.best = best
+        return best
+
+
+#: Width-less structural signature -> :class:`_WrapperCurve`. The designer
+#: re-derives identical wrappers across every sweep point; each curve packs
+#: a chain count once and keeps the designs it has handed out. The key
+#: covers every core field the packing reads (plus the name, which the
+#: returned record carries), so distinct cores cannot collide.
 #: WrapperDesign is frozen, making the shared instances safe.
-_WRAPPER_CACHE: dict[tuple, WrapperDesign] = {}
+_WRAPPER_CACHE: dict[tuple, _WrapperCurve] = {}
 
 
 def design_wrapper(core: Core, width: int, chain_length: int = DEFAULT_CHAIN_LENGTH) -> WrapperDesign:
     """Build the wrapper for ``core`` at TAM width ``width``.
 
     Internal scan chains are packed over wrapper chains with LPT; functional
-    input (output) cells are then spread one bit at a time onto the currently
-    shortest input-side (output-side) chain. Because LPT is a heuristic, the
-    design is built for every chain count up to ``width`` and the fastest is
-    kept — a wrapper may always leave TAM wires unused, which also makes
-    ``T(w)`` monotone non-increasing in ``w`` by construction.
+    input (output) cells are then spread onto the currently shortest
+    input-side (output-side) chains. Because LPT is a heuristic, the design
+    is built for every chain count up to ``width`` and the fastest is kept
+    (the fewest chains on ties) — a wrapper may always leave TAM wires
+    unused, which also makes ``T(w)`` monotone non-increasing in ``w`` by
+    construction.
 
-    Results are memoized per structural signature: repeated calls for the
-    same core shape and width return the same frozen design instantly.
+    Results are memoized per structural signature: each chain count is
+    packed once per core shape, and repeated calls for the same width
+    return the same frozen design instantly.
     """
     if width <= 0:
         raise ValidationError(f"wrapper width must be positive, got {width}")
@@ -126,31 +219,13 @@ def design_wrapper(core: Core, width: int, chain_length: int = DEFAULT_CHAIN_LEN
         core.num_flipflops,
         core.num_patterns,
         core.scan_chains,
-        width,
         chain_length,
     )
-    cached = _WRAPPER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    chains = internal_scan_chains(core, max_length=chain_length)
-    best: WrapperDesign | None = None
-    best_time = math.inf
-    for bins in range(1, width + 1):
-        scan_totals = _pack_lpt(chains, bins)
-        in_chains = _spread_cells(scan_totals, core.num_inputs)
-        out_chains = _spread_cells(scan_totals, core.num_outputs)
-        # Pad to the full width so the record reflects the physical interface.
-        pad = (0,) * (width - bins)
-        candidate = WrapperDesign(
-            core.name, width, tuple(in_chains) + pad, tuple(out_chains) + pad
-        )
-        time = candidate.application_time(core.num_patterns)
-        if time < best_time:
-            best = candidate
-            best_time = time
-    assert best is not None
-    _WRAPPER_CACHE[key] = best
-    return best
+    curve = _WRAPPER_CACHE.get(key)
+    if curve is None:
+        curve = _WrapperCurve(core, internal_scan_chains(core, max_length=chain_length))
+        _WRAPPER_CACHE[key] = curve
+    return curve.design(width)
 
 
 def application_time(core: Core, width: int, chain_length: int = DEFAULT_CHAIN_LENGTH) -> int:
