@@ -60,7 +60,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.api import (  # noqa: E402
     CutPolicy,
     DesignProblem,
-    MetricsRegistry,
     PresolvePolicy,
     RunTelemetry,
     SolutionCache,
@@ -72,7 +71,6 @@ from repro.api import (  # noqa: E402
     design_best_architecture,
     grid_place,
     use_cache,
-    use_metrics,
     width_sweep,
 )
 from repro.obs import now  # noqa: E402
@@ -156,32 +154,31 @@ def _run_sweep(soc, grid: dict, jobs: int, **solver_options) -> dict:
 def _run_layout_sweep(soc, grid: dict, cuts: CutPolicy) -> dict:
     """The same width sweep under a tight layout budget, cuts on or off.
 
-    Counters come from the metrics registry, not sweep telemetry: a tight
-    layout budget makes many candidate architectures *infeasible*, and the
-    node work spent proving that (where cuts help most) is only visible to
-    the per-solve metrics — sweep telemetry records feasible designs only.
+    A tight layout budget makes many candidate architectures *infeasible*
+    (or unable to beat the incumbent), and the node work spent proving that
+    is where cuts help most; sweep telemetry counts every solve the sweep
+    ran, infeasible ones included.
     """
     floorplan = grid_place(soc)
     policy = SolvePolicy(solver=SolverOptions(cuts=cuts))
-    registry = MetricsRegistry()
+    telemetry = RunTelemetry()
     start = now()
-    with use_metrics(registry):
-        for num_buses in grid["bus_counts"]:
-            for width in grid["total_widths"]:
-                design_best_architecture(
-                    soc, width, num_buses, timing="serial",
-                    floorplan=floorplan,
-                    max_pair_distance=_CUTS_MAX_PAIR_DISTANCE,
-                    policy=policy,
-                )
+    for num_buses in grid["bus_counts"]:
+        for width in grid["total_widths"]:
+            sweep = design_best_architecture(
+                soc, width, num_buses, timing="serial",
+                floorplan=floorplan,
+                max_pair_distance=_CUTS_MAX_PAIR_DISTANCE,
+                policy=policy,
+            )
+            telemetry.merge(sweep.telemetry)
     elapsed = now() - start
-    counts = registry.counts()
     return {
         "seconds": round(elapsed, 3),
         "jobs": 1,
-        "nodes": counts.get("solve.nodes", 0),
-        "lp_solves": counts.get("solve.lp_solves", 0),
-        "cuts": counts.get("solve.cuts", 0),
+        "nodes": telemetry.nodes,
+        "lp_solves": telemetry.lp_solves,
+        "cuts": telemetry.cuts,
     }
 
 

@@ -60,7 +60,8 @@ def main() -> None:
             continue
         best = sweep.best
         print(f"{timing:>9}: T* = {best.makespan:7.0f} cycles on {best.arch}  "
-              f"({sweep.evaluated} distributions, {sweep.infeasible} infeasible, "
+              f"({sweep.evaluated - sweep.infeasible} solved, {sweep.pruned} pruned, "
+              f"{sweep.infeasible} infeasible, "
               f"{sweep.wall_time:.1f}s)")
         for bus, names in best.assignment.groups().items():
             print(f"           bus {bus} (w={best.arch.width_of(bus)}): {', '.join(names) or '-'}")

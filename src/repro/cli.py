@@ -328,8 +328,11 @@ def cmd_sweep(args) -> int:
     if sweep.best is None:
         print("\nno feasible width distribution")
         return 1
+    # Only solved distributions have a row: pruned ones were proven unable
+    # to beat the incumbent (see design_best_architecture).
     print(f"\nbest: {sweep.best.arch} at {sweep.best.makespan:.0f} cycles "
-          f"({sweep.evaluated} distributions, {sweep.infeasible} infeasible, "
+          f"({sweep.evaluated - sweep.infeasible} solved, {sweep.pruned} pruned, "
+          f"{sweep.infeasible} infeasible of {sweep.evaluated + sweep.pruned} distributions, "
           f"{sweep.wall_time:.1f}s; {sweep.telemetry.render()})")
     print(design_report(sweep.best))
     return 0

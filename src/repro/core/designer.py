@@ -7,9 +7,11 @@ result as a :class:`TamDesign` — assignment, certified makespan, wirelength
 :func:`design_best_architecture` reproduces the paper's outer loop: given a
 total TAM width budget ``W`` and a bus count ``NB``, enumerate the width
 distributions (integer partitions of W into NB parts — buses are symmetric
-before assignment), solve each, and keep the best. Infeasible distributions
-are recorded, not ignored: the constrained experiments need to report how
-much of the design space a tight budget kills.
+before assignment), and keep the best, solving each later distribution only
+for a design that beats the incumbent. Infeasible distributions are
+recorded, not ignored: the constrained experiments need to report how much
+of the design space a tight budget kills. (A capped solve cannot tell
+"infeasible" from "cannot improve"; it counts as pruned.)
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ def design(
     presolve: bool | None = None,
     branching: str | None = None,
     incumbent: Assignment | None = None,
+    *,
+    cutoff: float | None = None,
     **solver_options,
 ) -> TamDesign:
     """Solve ``problem`` — to proven optimality, or as far as a policy allows.
@@ -150,9 +154,22 @@ def design(
     cross-fed to the exact search, and the returned design carries a
     :class:`~repro.runtime.portfolio.PortfolioReport` in ``.portfolio``.
 
+    ``cutoff`` asks only for a design strictly better than a known
+    makespan: the upper bound of the makespan variable drops one cycle
+    below it (test times are integral cycle counts; when some finite time
+    is not, a ``1e-9`` relative margin stands in for the cycle). A capped
+    model with no solution raises :class:`InfeasibleError` with
+    ``reason="cutoff"`` — "cannot improve", usually proven at the root. A
+    warm-start seed (LPT or ``incumbent``) that does not beat the cap is
+    dropped. A budgeted solve that finds nothing under the cap degrades as
+    usual, so its answer may not beat the cutoff. With an enabled portfolio
+    the cutoff applies to the exact entrant only.
+
     ``cache`` is forwarded to :meth:`Model.solve`: a
     :class:`~repro.runtime.cache.SolutionCache` memoizes this solve, ``None``
-    defers to the active context cache, ``False`` bypasses caching.
+    defers to the active context cache, ``False`` bypasses caching. A capped
+    model differs from the uncapped one in a variable bound, so the two
+    never share a cache entry.
     """
     if presolve is not None or branching is not None:
         warnings.warn(
@@ -202,6 +219,7 @@ def design(
             policy,
             cache=cache,
             wirelength_method=wirelength_method,
+            cutoff=cutoff,
             **solver_options,
         )
     contradictions = problem.contradictions()
@@ -231,6 +249,15 @@ def design(
         # relaxation (never the optimum) and no-ops on instances without
         # conflict/knapsack structure. CutPolicy.disabled() opts out.
         solver_options["cut_policy"] = DEFAULT_CUT_POLICY
+    makespan_var = formulation.makespan_var
+    if cutoff is not None:
+        makespan_var.ub = _cutoff_cap(problem, cutoff)
+        if makespan_var.lb > makespan_var.ub:
+            raise InfeasibleError(
+                f"lower bound {makespan_var.lb:g} cannot beat cutoff {cutoff:g}",
+                reason="cutoff",
+            )
+    seed: tuple[tuple[int, ...], float] | None = None
     if incumbent is not None and backend == "bnb" and "warm_start" not in solver_options:
         violations = problem.validate(incumbent)
         if violations:
@@ -238,12 +265,7 @@ def design(
                 "incumbent= must be feasible for the problem; violations: "
                 + "; ".join(violations)
             )
-        values = {
-            var: 1.0 if incumbent.bus_of[i] == j else 0.0
-            for (i, j), var in formulation.x.items()
-        }
-        values[formulation.makespan_var] = incumbent.makespan(problem.timing)
-        solver_options["warm_start"] = values
+        seed = (incumbent.bus_of, incumbent.makespan(problem.timing))
     elif warm_start_heuristic and backend == "bnb" and "warm_start" not in solver_options:
         from repro.core.baselines import lpt_assignment
 
@@ -252,21 +274,30 @@ def design(
         except InfeasibleError:
             pass  # greedy failed; B&B starts cold and still proves the answer
         else:
-            values = {
-                var: 1.0 if baseline.assignment.bus_of[i] == j else 0.0
-                for (i, j), var in formulation.x.items()
-            }
-            values[formulation.makespan_var] = baseline.makespan
-            solver_options["warm_start"] = values
+            seed = (baseline.assignment.bus_of, baseline.makespan)
+    if seed is not None and seed[1] <= makespan_var.ub:
+        bus_of, seed_makespan = seed
+        values = {
+            var: 1.0 if bus_of[i] == j else 0.0 for (i, j), var in formulation.x.items()
+        }
+        values[makespan_var] = seed_makespan
+        solver_options["warm_start"] = values
     with span("solve", backend=backend):
         solution = formulation.model.solve(
             backend=backend, cache=cache, policy=policy, **solver_options
         )
 
     if solution.status is Status.INFEASIBLE:
+        if cutoff is not None:
+            raise InfeasibleError(
+                f"no assignment beats cutoff {cutoff:g} for {problem.constraint_summary()}",
+                reason="cutoff",
+                stats=solution.stats,
+            )
         raise InfeasibleError(
             f"no feasible assignment for {problem.constraint_summary()}",
             reason="ILP infeasible",
+            stats=solution.stats,
         )
 
     report = FallbackReport(retries=solution.stats.retries)
@@ -304,6 +335,19 @@ def design(
         wirelength=wirelength,
         fallback=report,
     )
+
+
+def _cutoff_cap(problem: DesignProblem, cutoff: float) -> float:
+    """Largest makespan that strictly beats ``cutoff``.
+
+    One cycle below it when every finite test time is an integral cycle
+    count (then so is every makespan) — the same fact the default
+    ``gap_tol`` relies on — and a ``1e-9`` relative margin otherwise.
+    """
+    finite = problem.times[np.isfinite(problem.times)]
+    if np.array_equal(finite, np.round(finite)):
+        return cutoff - (1.0 - 1e-6)
+    return cutoff - 1e-9 * max(1.0, abs(cutoff))
 
 
 def _degrade(
@@ -372,10 +416,15 @@ def _degrade(
 class ArchitectureSweepResult:
     """Outcome of sweeping width distributions for one (W, NB) budget.
 
-    ``pruned`` counts distributions skipped because a cheap certified lower
-    bound already matched or exceeded the incumbent best — they cannot
-    improve the sweep and are not solved. ``telemetry`` aggregates the
-    solver work (and cache hits) over every distribution actually solved.
+    ``pruned`` counts distributions proven unable to improve the incumbent
+    best: either a cheap certified lower bound already matched or exceeded
+    it (not solved at all), or the solve capped one cycle below it found
+    nothing. ``evaluated`` counts the rest — the provably infeasible ones
+    and those solved to their own optimum — so ``evaluated + pruned`` is
+    every enumerated distribution. ``per_architecture`` lists the evaluated
+    distributions with their optimum (``None`` when infeasible); a pruned
+    one appears nowhere. ``telemetry`` aggregates the solver work (and
+    cache hits) over every solve the sweep ran, capped ones included.
     """
 
     soc_name: str
@@ -410,8 +459,16 @@ def design_best_architecture(
     """Optimal width distribution + assignment for a total width budget.
 
     Enumerates integer partitions of ``total_width`` into ``num_buses``
-    positive parts (symmetric permutations deduplicated), solves each to
-    optimality, and returns the best design along with the full sweep trace.
+    positive parts (symmetric permutations deduplicated) and branches and
+    bounds over them: once some distribution holds the incumbent best,
+    every later one is first checked against cheap certified lower bounds
+    and otherwise solved with ``design(cutoff=best)``, which proves "cannot
+    improve" (usually at the root) instead of finding an optimum that would
+    be thrown away. Only a strictly better makespan replaces the incumbent,
+    so the best makespan and width distribution are exactly those of
+    solving every distribution to optimality; the assignment may be another
+    optimum of the same distribution. See :class:`ArchitectureSweepResult`
+    for what the sweep trace records.
 
     With ``clamp_useless_width`` the enumeration caps each bus at the timing
     model's :meth:`~repro.tam.timing.TimingModel.max_useful_bus_width` and
@@ -458,13 +515,22 @@ def design_best_architecture(
             if max(singleton_bound, work_bound) >= result.best.makespan - 1e-9:
                 result.pruned += 1
                 continue
-        result.evaluated += 1
+        cutoff = None if result.best is None else result.best.makespan
         try:
-            candidate = design(problem, backend=backend, policy=policy, **solver_options)
-        except InfeasibleError:
+            candidate = design(
+                problem, backend=backend, policy=policy, cutoff=cutoff, **solver_options
+            )
+        except InfeasibleError as exc:
+            if exc.stats is not None:
+                result.telemetry.record(exc.stats)
+            if exc.reason == "cutoff":
+                result.pruned += 1
+                continue
+            result.evaluated += 1
             result.infeasible += 1
             result.per_architecture.append((arch, None))
             continue
+        result.evaluated += 1
         result.telemetry.record(candidate.stats)
         result.telemetry.record_fallback(candidate.fallback)
         result.telemetry.record_portfolio(candidate.portfolio)

@@ -182,6 +182,8 @@ def run_portfolio(
     policy: SolvePolicy,
     cache: "object | bool | None" = None,
     wirelength_method: str = "chain",
+    *,
+    cutoff: float | None = None,
     **solver_options,
 ) -> "TamDesign":
     """Race the portfolio entrants on ``problem`` under one shared budget.
@@ -197,6 +199,11 @@ def run_portfolio(
     :data:`MIN_EXACT_BUDGET` so a cross-fed incumbent can always be
     installed); ``policy.node_budget`` applies to the exact entrant
     unchanged — heuristics do not expand B&B nodes.
+
+    ``cutoff`` (see :func:`~repro.core.designer.design`) caps the exact
+    entrant only: a cross-fed incumbent that does not beat it is dropped,
+    and a capped exact leg that proves nothing beats it raises
+    :class:`InfeasibleError` with ``reason="cutoff"``.
     """
     from repro.core.designer import design
     from repro.ilp.solution import SolveStats, Status
@@ -252,7 +259,8 @@ def run_portfolio(
             deadline=remaining,
         )
         incumbent = None
-        if best_bus_of is not None:
+        beats_cutoff = cutoff is None or (best_makespan is not None and best_makespan < cutoff)
+        if best_bus_of is not None and beats_cutoff:
             incumbent = Assignment(problem.soc, problem.arch, tuple(best_bus_of))
         with span("portfolio.exact", cross_fed=incumbent is not None):
             combined = design(
@@ -262,6 +270,7 @@ def run_portfolio(
                 cache=cache,
                 policy=inner_policy,
                 incumbent=incumbent,
+                cutoff=cutoff,
                 **solver_options,
             )
         stats = combined.stats

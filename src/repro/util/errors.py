@@ -23,12 +23,20 @@ class InfeasibleError(ReproError):
 
     Carries an optional human-readable ``reason`` explaining which constraint
     family made the instance infeasible (useful when sweeping constraint
-    budgets in the experiment harness).
+    budgets in the experiment harness), and the ``stats``
+    (:class:`~repro.ilp.solution.SolveStats`) of the solve that proved it —
+    ``None`` when infeasibility was detected without solving.
     """
 
-    def __init__(self, message: str = "problem is infeasible", reason: str | None = None):
+    def __init__(
+        self,
+        message: str = "problem is infeasible",
+        reason: str | None = None,
+        stats=None,
+    ):
         super().__init__(message if reason is None else f"{message}: {reason}")
         self.reason = reason
+        self.stats = stats
 
 
 class LintError(ReproError):

@@ -125,7 +125,7 @@ class TestBestArchitecture:
             DesignProblem(soc=s1, arch=TamArchitecture.even_split(32, 2), timing="serial")
         )
         assert sweep.best_makespan <= even.makespan + 1e-9
-        assert sweep.evaluated == 16  # partitions of 32 into exactly 2 parts
+        assert sweep.evaluated + sweep.pruned == 16  # partitions of 32 into exactly 2 parts
 
     def test_per_architecture_trace_complete(self, s1):
         sweep = design_best_architecture(s1, 12, 3, timing="serial")
