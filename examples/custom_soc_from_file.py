@@ -60,7 +60,8 @@ def main() -> None:
             continue
         best = sweep.best
         print(f"{timing:>9}: T* = {best.makespan:7.0f} cycles on {best.arch}  "
-              f"({sweep.evaluated - sweep.infeasible} solved, {sweep.pruned} pruned, "
+              f"({sweep.evaluated - sweep.infeasible} solved, "
+              f"{sweep.pruned} pruned ({sweep.dominated} by dominance), "
               f"{sweep.infeasible} infeasible, "
               f"{sweep.wall_time:.1f}s)")
         for bus, names in best.assignment.groups().items():

@@ -331,7 +331,8 @@ def cmd_sweep(args) -> int:
     # Only solved distributions have a row: pruned ones were proven unable
     # to beat the incumbent (see design_best_architecture).
     print(f"\nbest: {sweep.best.arch} at {sweep.best.makespan:.0f} cycles "
-          f"({sweep.evaluated - sweep.infeasible} solved, {sweep.pruned} pruned, "
+          f"({sweep.evaluated - sweep.infeasible} solved, "
+          f"{sweep.pruned} pruned ({sweep.dominated} by dominance), "
           f"{sweep.infeasible} infeasible of {sweep.evaluated + sweep.pruned} distributions, "
           f"{sweep.wall_time:.1f}s; {sweep.telemetry.render()})")
     print(design_report(sweep.best))

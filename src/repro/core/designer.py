@@ -8,7 +8,8 @@ result as a :class:`TamDesign` — assignment, certified makespan, wirelength
 total TAM width budget ``W`` and a bus count ``NB``, enumerate the width
 distributions (integer partitions of W into NB parts — buses are symmetric
 before assignment), and keep the best, solving each later distribution only
-for a design that beats the incumbent. Infeasible distributions are
+for a design that beats the incumbent and skipping one that an earlier
+proven distribution dominates entry for entry. Infeasible distributions are
 recorded, not ignored: the constrained experiments need to report how much
 of the design space a tight budget kills. (A capped solve cannot tell
 "infeasible" from "cannot improve"; it counts as pruned.)
@@ -417,14 +418,17 @@ class ArchitectureSweepResult:
     """Outcome of sweeping width distributions for one (W, NB) budget.
 
     ``pruned`` counts distributions proven unable to improve the incumbent
-    best: either a cheap certified lower bound already matched or exceeded
-    it (not solved at all), or the solve capped one cycle below it found
-    nothing. ``evaluated`` counts the rest — the provably infeasible ones
-    and those solved to their own optimum — so ``evaluated + pruned`` is
-    every enumerated distribution. ``per_architecture`` lists the evaluated
-    distributions with their optimum (``None`` when infeasible); a pruned
-    one appears nowhere. ``telemetry`` aggregates the solver work (and
-    cache hits) over every solve the sweep ran, capped ones included.
+    best: an earlier proven distribution dominated it, a cheap certified
+    lower bound already matched or exceeded the incumbent (neither is
+    solved at all), or the solve capped one cycle below it found nothing.
+    ``evaluated`` counts the rest — the provably infeasible ones and those
+    solved to their own optimum — so ``evaluated + pruned`` is every
+    enumerated distribution. ``dominated`` is the part of ``pruned`` that
+    dominance settled (see :func:`design_best_architecture`).
+    ``per_architecture`` lists the evaluated distributions with their
+    optimum (``None`` when infeasible); a pruned one appears nowhere.
+    ``telemetry`` aggregates the solver work (and cache hits) over every
+    solve the sweep ran, capped ones included.
     """
 
     soc_name: str
@@ -435,6 +439,7 @@ class ArchitectureSweepResult:
     evaluated: int = 0
     infeasible: int = 0
     pruned: int = 0
+    dominated: int = 0
     wall_time: float = 0.0
     telemetry: RunTelemetry = field(default_factory=RunTelemetry)
 
@@ -470,6 +475,16 @@ def design_best_architecture(
     optimum of the same distribution. See :class:`ArchitectureSweepResult`
     for what the sweep trace records.
 
+    Before any of that, a distribution is skipped when its test-time matrix
+    is elementwise no better than that of an earlier distribution with a
+    proven verdict (a proven optimum, an infeasibility proof, or a prune).
+    Forced and forbidden pairs do not depend on widths, so every assignment
+    of the dominated distribution is one of the earlier one with no bus
+    slower: it cannot beat the incumbent, and before the first incumbent it
+    is infeasible like the earlier one. It is recorded exactly as its capped
+    solve would have been. A budgeted solve that stopped without a proof
+    never dominates.
+
     With ``clamp_useless_width`` the enumeration caps each bus at the timing
     model's :meth:`~repro.tam.timing.TimingModel.max_useful_bus_width` and
     shrinks the budget to ``num_buses x cap`` when it exceeds it — wider
@@ -487,6 +502,10 @@ def design_best_architecture(
         max_bus_width = timing_model.max_useful_bus_width(soc)
         total_width = min(total_width, num_buses * max_bus_width)
         timing = timing_model
+    # One flattened times matrix per split with a proven verdict (optimum,
+    # infeasibility proof, or prune); a split no faster on any (core, bus)
+    # than one of them cannot win either.
+    proven = np.empty((0, len(soc) * num_buses))
     for arch in TamArchitecture.enumerate_distributions(
         total_width, num_buses, max_bus_width=max_bus_width
     ):
@@ -503,17 +522,31 @@ def design_best_architecture(
         # over the buses. An infinite bound means some core fits no bus
         # (provably infeasible, recorded without solving); a finite bound
         # matching the incumbent cannot strictly improve the sweep.
+        times = problem.times.ravel()
         per_core_best = np.min(problem.times, axis=1)
         if not np.isfinite(per_core_best).all():
             result.evaluated += 1
             result.infeasible += 1
             result.per_architecture.append((arch, None))
             continue
+        if (proven <= times).all(axis=1).any():
+            # Dominated: the earlier split admits every assignment of this
+            # one, none slower, so its verdict carries over — pruned behind
+            # an incumbent, infeasible before the first one.
+            if result.best is not None:
+                result.pruned += 1
+                result.dominated += 1
+            else:
+                result.evaluated += 1
+                result.infeasible += 1
+                result.per_architecture.append((arch, None))
+            continue
         if result.best is not None:
             singleton_bound = float(np.max(per_core_best))
             work_bound = float(np.sum(per_core_best)) / num_buses
             if max(singleton_bound, work_bound) >= result.best.makespan - 1e-9:
                 result.pruned += 1
+                proven = np.vstack((proven, times))
                 continue
         cutoff = None if result.best is None else result.best.makespan
         try:
@@ -523,6 +556,8 @@ def design_best_architecture(
         except InfeasibleError as exc:
             if exc.stats is not None:
                 result.telemetry.record(exc.stats)
+            if exc.proven:
+                proven = np.vstack((proven, times))
             if exc.reason == "cutoff":
                 result.pruned += 1
                 continue
@@ -535,6 +570,8 @@ def design_best_architecture(
         result.telemetry.record_fallback(candidate.fallback)
         result.telemetry.record_portfolio(candidate.portfolio)
         result.per_architecture.append((arch, candidate.makespan))
+        if candidate.is_proven_optimal:
+            proven = np.vstack((proven, times))
         if result.best is None or candidate.makespan < result.best.makespan:
             result.best = candidate
     result.wall_time = now() - start

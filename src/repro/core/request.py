@@ -296,6 +296,7 @@ class SolveRequest:
                 "evaluated": result.evaluated,
                 "infeasible": result.infeasible,
                 "pruned": result.pruned,
+                "dominated": result.dominated,
                 "per_architecture": [
                     [list(arch.widths), makespan]
                     for arch, makespan in result.per_architecture

@@ -314,6 +314,7 @@ def run_portfolio(
             reason="; ".join(
                 f"{record.name}: {record.detail or record.status}" for record in records
             ),
+            proven=False,
         )
     assignment = Assignment(problem.soc, problem.arch, tuple(best_bus_of))
     bus_times = assignment.bus_times(problem.timing)

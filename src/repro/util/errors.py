@@ -25,7 +25,9 @@ class InfeasibleError(ReproError):
     family made the instance infeasible (useful when sweeping constraint
     budgets in the experiment harness), and the ``stats``
     (:class:`~repro.ilp.solution.SolveStats`) of the solve that proved it —
-    ``None`` when infeasibility was detected without solving.
+    ``None`` when infeasibility was detected without solving. ``proven`` is
+    False when nothing proved it: only heuristics ran, and all of them
+    failed.
     """
 
     def __init__(
@@ -33,10 +35,12 @@ class InfeasibleError(ReproError):
         message: str = "problem is infeasible",
         reason: str | None = None,
         stats=None,
+        proven: bool = True,
     ):
         super().__init__(message if reason is None else f"{message}: {reason}")
         self.reason = reason
         self.stats = stats
+        self.proven = proven
 
 
 class LintError(ReproError):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ilp.model import MatrixForm
@@ -72,6 +72,17 @@ class DensePropagationTables:
         return self.rows.shape[0]
 
 
+def _sequential_row_sums(products: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, one term at a time.
+
+    The sparse propagator's ``np.bincount`` adds a row's terms in column
+    order; a BLAS matrix-vector product or numpy's pairwise ``sum`` may
+    group (or fuse) them differently and round the last bit differently.
+    Adding the zero terms of a dense row changes nothing.
+    """
+    return np.cumsum(products, axis=1)[:, -1]
+
+
 def dense_propagate_bounds(
     tables: DensePropagationTables,
     lb: np.ndarray,
@@ -91,7 +102,9 @@ def dense_propagate_bounds(
     clb = np.clip(lb, -_BIG, _BIG)
     cub = np.clip(ub, -_BIG, _BIG)
     for _ in range(max_rounds):
-        min_activity = tables.pos @ clb + tables.neg @ cub
+        min_activity = _sequential_row_sums(tables.pos * clb) + _sequential_row_sums(
+            tables.neg * cub
+        )
         slack = rhs - min_activity
         if np.any(slack < -tol * (1.0 + np.abs(rhs))):
             return False, changes
@@ -145,8 +158,9 @@ def assert_same_propagation(form, lb, ub, cutoff, max_rounds, tol=1e-6):
 # per row, so activities built from clamped infinite bounds stay inside
 # float64's exact integer range. Bounds tightened from those clamps can be
 # fractional; the sparse code sums each row's positive and negative parts
-# apart and then adds them, as the dense matmuls did, so the two agree
-# there too. Right-hand sides and cutoffs are arbitrary floats.
+# apart, each in column order, and then adds them, as the dense reference
+# does, so the two agree bit for bit there too. Right-hand sides and
+# cutoffs are arbitrary floats.
 
 _ROW_BUDGET = 8
 
@@ -200,9 +214,25 @@ def random_milp(draw):
     return form, cutoff, max_rounds
 
 
+# Found by the property below while the reference summed rows with a BLAS
+# matrix-vector product: round 2 gave an upper bound of 0.6666666666666667
+# sparse against 0.6666666666666666 dense.
+_BLAS_ROUNDING_CASE = (
+    MatrixForm(
+        c=np.zeros(3), c0=0.0, a_ub=np.zeros((0, 3)), b_ub=np.zeros(0),
+        a_eq=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-3.0, -1.0, 0.0]]),
+        b_eq=np.array([0.0, 0.0, -1.0]), lb=np.full(3, -math.inf),
+        ub=np.array([1.0, 0.0, -2.0]), integer_mask=np.zeros(3, dtype=bool),
+    ),
+    None,
+    2,
+)
+
+
 class TestSparsePropagationMatchesDense:
     @settings(max_examples=400, deadline=None)
     @given(random_milp())
+    @example(_BLAS_ROUNDING_CASE)
     def test_random_milps(self, case):
         form, cutoff, max_rounds = case
         assert_same_propagation(form, form.lb.copy(), form.ub.copy(), cutoff, max_rounds)

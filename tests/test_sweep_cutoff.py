@@ -40,19 +40,37 @@ class _QuarterCycleTiming(SerializationTiming):
 
 
 def reference_sweep(soc, total_width, num_buses, **constraints):
-    """Every split solved to optimality, no cutoff; the first strict minimum wins."""
+    """Every split solved to optimality, no cutoff; the first strict minimum wins.
+
+    Returns the best design, each split's optimum (``None`` when infeasible)
+    and the ``(evaluated, pruned, infeasible)`` counts the pruned sweep must
+    report: walking the splits in enumeration order, a split is evaluated
+    when no incumbent exists yet, when it strictly improves the incumbent,
+    or when some core fits none of its buses; every other split is pruned.
+    """
     optima = {}
     best = None
+    evaluated = pruned = infeasible = 0
     for arch in TamArchitecture.enumerate_distributions(total_width, num_buses):
+        problem = DesignProblem(soc=soc, arch=arch, **constraints)
         try:
-            candidate = design(DesignProblem(soc=soc, arch=arch, **constraints))
+            candidate = design(problem)
         except InfeasibleError:
             optima[arch.widths] = None
-            continue
-        optima[arch.widths] = candidate.makespan
-        if best is None or candidate.makespan < best.makespan:
+            candidate = None
+        else:
+            optima[arch.widths] = candidate.makespan
+        width_infeasible = not np.isfinite(problem.times.min(axis=1)).all()
+        if best is None or width_infeasible or (
+            candidate is not None and candidate.makespan < best.makespan
+        ):
+            evaluated += 1
+            infeasible += candidate is None
+        else:
+            pruned += 1
+        if candidate is not None and (best is None or candidate.makespan < best.makespan):
             best = candidate
-    return best, optima
+    return best, optima, (evaluated, pruned, infeasible)
 
 
 def _constraints(soc, timing: str, budget: str) -> dict:
@@ -91,7 +109,7 @@ class TestSweepMatchesReference:
         sweep = design_best_architecture(
             soc, total_width, num_buses, cache=False, **constraints
         )
-        best, optima = reference_sweep(soc, total_width, num_buses, **constraints)
+        best, optima, counts = reference_sweep(soc, total_width, num_buses, **constraints)
 
         if best is None:
             assert sweep.best is None
@@ -102,8 +120,10 @@ class TestSweepMatchesReference:
             assert sweep.best.is_proven_optimal
         for arch, makespan in sweep.per_architecture:
             assert makespan == optima[arch.widths]
+        assert (sweep.evaluated, sweep.pruned, sweep.infeasible) == counts
         assert sweep.evaluated + sweep.pruned == len(optima)
         assert len(sweep.per_architecture) == sweep.evaluated
+        assert 0 <= sweep.dominated <= sweep.pruned
 
 
 class TestDesignCutoff:
@@ -182,3 +202,106 @@ class TestSweepBookkeeping:
         counts = registry.counts()
         assert sweep.telemetry.nodes == counts.get("solve.nodes", 0)
         assert sweep.telemetry.lp_solves == counts.get("solve.lp_solves", 0)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Every split the sweep hands to ``design()``, mapped to how it ended."""
+    import repro.core.designer as designer
+
+    real = designer.design
+    outcomes: dict[tuple[int, ...], str] = {}
+
+    def recording_design(problem, **kwargs):
+        try:
+            candidate = real(problem, **kwargs)
+        except InfeasibleError as exc:
+            outcomes[problem.arch.widths] = f"infeasible ({exc.reason})"
+            raise
+        outcomes[problem.arch.widths] = candidate.status.value
+        return candidate
+
+    monkeypatch.setattr(designer, "design", recording_design)
+    return outcomes
+
+
+def _split_times(soc, total_width, num_buses, **constraints):
+    """``(widths, times)`` of every split, in enumeration order."""
+    return [
+        (arch.widths, DesignProblem(soc=soc, arch=arch, **constraints).times)
+        for arch in TamArchitecture.enumerate_distributions(total_width, num_buses)
+    ]
+
+
+class TestDominatedSplits:
+    """A split no faster than an earlier proven split is settled unsolved."""
+
+    def test_split_equal_to_an_earlier_one_is_never_solved(self, s1, solved):
+        sweep = design_best_architecture(s1, 48, 3, timing="serial", cache=False)
+        splits = _split_times(s1, 48, 3, timing="serial")
+        twins = {
+            widths
+            for k, (widths, times) in enumerate(splits)
+            if any(np.array_equal(times, earlier) for _, earlier in splits[:k])
+        }
+        assert len(twins) > len(splits) // 2
+        assert not twins & solved.keys()
+        assert sweep.dominated >= len(twins)
+        assert sweep.best.makespan == 5363
+        assert sweep.best.arch.widths == (16, 16, 16)
+
+    def test_budget_stopped_split_does_not_dominate(self, s1, solved):
+        # One node per solve: most splits stop with an unproven incumbent.
+        policy = SolvePolicy(node_budget=1)
+        design_best_architecture(s1, 40, 2, timing="serial", policy=policy, cache=False)
+        splits = _split_times(s1, 40, 2, timing="serial")
+        covered_by_unproven = [
+            widths
+            for k, (widths, times) in enumerate(splits)
+            if (dominators := [w for w, earlier in splits[:k] if (earlier <= times).all()])
+            and all(solved.get(w) == Status.FEASIBLE.value for w in dominators)
+        ]
+        assert covered_by_unproven
+        assert set(covered_by_unproven) <= solved.keys()
+
+    def test_heuristic_only_failure_does_not_dominate(self, s1, s1_floorplan, solved):
+        # Every pair of S1 cores is further apart than 2 units, so no two
+        # may share a bus: infeasible on three buses, but only heuristics run.
+        policy = SolvePolicy(solver=SolverOptions(portfolio=PortfolioPolicy(entrants=("lpt",))))
+        sweep = design_best_architecture(
+            s1, 12, 3, timing="serial", floorplan=s1_floorplan, max_pair_distance=2.0,
+            policy=policy, cache=False,
+        )
+        assert sweep.best is None
+        splits = _split_times(s1, 12, 3, timing="serial")
+        assert len(solved) == len(splits) == sweep.evaluated == sweep.infeasible
+        assert all(outcome.startswith("infeasible") for outcome in solved.values())
+
+    def test_dominated_split_before_the_first_incumbent_is_infeasible(
+        self, s1, s1_floorplan, solved
+    ):
+        # Fixed widths and a layout budget: the 16-wide cores c7552 and
+        # s5378 may not share a bus, so every split with one 16-wide bus is
+        # infeasible, and many of them have identical test-time matrices.
+        constraints = {
+            "timing": "fixed", "floorplan": s1_floorplan, "max_pair_distance": 5.0,
+        }
+        sweep = design_best_architecture(s1, 36, 3, cache=False, **constraints)
+        best, optima, counts = reference_sweep(s1, 36, 3, **constraints)
+        assert (sweep.evaluated, sweep.pruned, sweep.infeasible) == counts
+        assert sweep.best.makespan == best.makespan
+        assert sweep.best.arch.widths == best.arch.widths
+
+        # Recorded as infeasible, never solved, though every core fits a bus.
+        splits = _split_times(s1, 36, 3, **constraints)
+        width_feasible = [
+            widths for widths, times in splits if np.isfinite(times.min(axis=1)).all()
+        ]
+        recorded = {arch.widths: makespan for arch, makespan in sweep.per_architecture}
+        skipped = [
+            widths for widths in width_feasible if widths in recorded and widths not in solved
+        ]
+        assert skipped
+        assert all(recorded[widths] is None and optima[widths] is None for widths in skipped)
+        order = [widths for widths, _ in splits]
+        assert max(map(order.index, skipped)) < order.index(best.arch.widths)
