@@ -126,6 +126,41 @@ def _self_attr_reads(node: ast.AST) -> set[str]:
     }
 
 
+def _calls_name(node: ast.AST, name: str) -> bool:
+    return any(
+        isinstance(child, ast.Call)
+        and isinstance(child.func, ast.Name)
+        and child.func.id == name
+        for child in ast.walk(node)
+    )
+
+
+def _marked_untokened(value: ast.AST | None) -> bool:
+    """Does a field's default carry ``{"token": False}`` metadata?"""
+    return value is not None and any(
+        isinstance(child, ast.Dict)
+        and any(
+            isinstance(key, ast.Constant)
+            and key.value == "token"
+            and isinstance(flag, ast.Constant)
+            and flag.value is False
+            for key, flag in zip(child.keys, child.values)
+        )
+        for child in ast.walk(value)
+    )
+
+
+def _token_fields(cls: ast.ClassDef) -> set[str]:
+    """The annotated fields of a class body not marked ``token=False``."""
+    return {
+        stmt.target.id
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and not _marked_untokened(stmt.value)
+    }
+
+
 class CacheKeyCompleteness(ProjectRule):
     """D001 — every result-affecting knob must reach the cache key.
 
@@ -144,7 +179,11 @@ class CacheKeyCompleteness(ProjectRule):
        alongside an options-producing method (``backend_options`` on a
        policy, ``request_options`` on a request), every field the producer
        reads must either land in the returned options mapping (hashed
-       generically) or be read by ``cache_token``.
+       generically) or be read by ``cache_token``. A class may inherit
+       ``cache_token`` from a base in the scanned tree; when the base
+       derives it from ``dataclasses.fields``, the token reads every
+       annotated field of the class body except those whose metadata
+       says ``token=False``.
     """
 
     rule_id = "D001"
@@ -266,10 +305,9 @@ class CacheKeyCompleteness(ProjectRule):
                     for stmt in node.body
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
-                cache_token = methods.get("cache_token")
-                if cache_token is None:
+                token_reads = self._token_reads(project, module, node, methods)
+                if token_reads is None:
                     continue
-                token_reads = _self_attr_reads(cache_token)
                 for producer_name in self.OPTION_PRODUCERS:
                     producer = methods.get(producer_name)
                     if producer is None:
@@ -285,8 +323,30 @@ class CacheKeyCompleteness(ProjectRule):
                             f"{producer_name}() but reaches neither the returned "
                             "options mapping nor cache_token()",
                             "store it into the returned options dict (hashed "
-                            "generically) or add it to cache_token()",
+                            "generically) or add it to cache_token() (for a "
+                            "derived token: drop its token=False mark)",
                         )
+
+    def _token_reads(
+        self, project: Project, module: ModuleInfo, cls: ast.ClassDef, methods: dict
+    ) -> set[str] | None:
+        """Fields the class's own or inherited ``cache_token`` reads, or
+        None when it has none."""
+        if "cache_token" in methods:
+            return _self_attr_reads(methods["cache_token"])
+        for base in cls.bases:
+            if not isinstance(base, ast.Name):
+                continue
+            resolved = project.resolve_name(module, base.id)
+            if not isinstance(resolved.node, ast.ClassDef):
+                continue
+            for stmt in resolved.node.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "cache_token":
+                    reads = _self_attr_reads(stmt)
+                    if _calls_name(stmt, "fields"):
+                        reads |= _token_fields(cls)
+                    return reads
+        return None
 
     def _dict_covered_fields(self, method: ast.AST) -> set[str]:
         """Fields stored into a dict that the method returns."""

@@ -329,11 +329,14 @@ def cmd_sweep(args) -> int:
         print("\nno feasible width distribution")
         return 1
     # Only solved distributions have a row: pruned ones were proven unable
-    # to beat the incumbent (see design_best_architecture).
+    # to beat the incumbent, unproven ones were stopped by a solve budget
+    # before proving anything (see design_best_architecture).
+    unproven = f", {sweep.unproven} unproven" if sweep.unproven else ""
+    total = sweep.evaluated + sweep.pruned + sweep.unproven
     print(f"\nbest: {sweep.best.arch} at {sweep.best.makespan:.0f} cycles "
           f"({sweep.evaluated - sweep.infeasible} solved, "
-          f"{sweep.pruned} pruned ({sweep.dominated} by dominance), "
-          f"{sweep.infeasible} infeasible of {sweep.evaluated + sweep.pruned} distributions, "
+          f"{sweep.pruned} pruned ({sweep.dominated} by dominance){unproven}, "
+          f"{sweep.infeasible} infeasible of {total} distributions, "
           f"{sweep.wall_time:.1f}s; {sweep.telemetry.render()})")
     print(design_report(sweep.best))
     return 0

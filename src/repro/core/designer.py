@@ -12,13 +12,13 @@ for a design that beats the incumbent and skipping one that an earlier
 proven distribution dominates entry for entry. Infeasible distributions are
 recorded, not ignored: the constrained experiments need to report how much
 of the design space a tight budget kills. (A capped solve cannot tell
-"infeasible" from "cannot improve"; it counts as pruned.)
+"infeasible" from "cannot improve"; it counts as pruned, or as unproven
+when a solve budget stopped it before it proved either.)
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -105,8 +105,6 @@ def design(
     warm_start_heuristic: bool = False,
     cache: "object | bool | None" = None,
     policy: SolvePolicy | None = None,
-    presolve: bool | None = None,
-    branching: str | None = None,
     incumbent: Assignment | None = None,
     *,
     cutoff: float | None = None,
@@ -126,10 +124,8 @@ def design(
     Root presolve and warm-started node LPs are likewise on by default
     inside the solver itself (see DESIGN.md §13); disable them per request
     with ``SolverOptions(root_presolve=PresolvePolicy.disabled(),
-    warm_start=False)``.
-    The flat ``presolve=`` / ``branching=`` / ``checkpoint_interval=``
-    kwargs still work for one release behind a
-    :class:`DeprecationWarning`.
+    warm_start=False)``. Any other keyword goes to the backend unchanged,
+    as on :meth:`~repro.ilp.model.Model.solve`.
 
     Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
     the constraints admit no assignment, :class:`SolverError` if the backend
@@ -162,9 +158,10 @@ def design(
     model with no solution raises :class:`InfeasibleError` with
     ``reason="cutoff"`` — "cannot improve", usually proven at the root. A
     warm-start seed (LPT or ``incumbent``) that does not beat the cap is
-    dropped. A budgeted solve that finds nothing under the cap degrades as
-    usual, so its answer may not beat the cutoff. With an enabled portfolio
-    the cutoff applies to the exact entrant only.
+    dropped. A budgeted solve that stops with nothing under the cap raises
+    the same error with ``proven=False`` instead of walking the degradation
+    ladder. With an enabled portfolio the cutoff applies to the exact
+    entrant only.
 
     ``cache`` is forwarded to :meth:`Model.solve`: a
     :class:`~repro.runtime.cache.SolutionCache` memoizes this solve, ``None``
@@ -172,32 +169,6 @@ def design(
     model differs from the uncapped one in a variable bound, so the two
     never share a cache entry.
     """
-    if presolve is not None or branching is not None:
-        warnings.warn(
-            "the flat presolve=/branching= kwargs of design() are deprecated "
-            "and will be removed next release; pass "
-            "policy=SolvePolicy(solver=SolverOptions(presolve=..., branching=...)) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend != "bnb":
-            raise ValueError(
-                "presolve/branching are branch-and-bound knobs; "
-                f"backend {backend!r} does not accept them"
-            )
-        if presolve is not None:
-            solver_options.setdefault("presolve", presolve)
-        if branching is not None:
-            solver_options.setdefault("branching", branching)
-    if "checkpoint_interval" in solver_options:
-        warnings.warn(
-            "passing checkpoint_interval= to design() directly is deprecated "
-            "and will be removed next release; pass policy=SolvePolicy("
-            "solver=SolverOptions(checkpoint_interval=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     portfolio = (
         policy.solver.portfolio
         if policy is not None and policy.solver is not None
@@ -243,7 +214,6 @@ def design(
     if (
         backend == "bnb"
         and "cut_policy" not in solver_options
-        and "root_cuts" not in solver_options
         and (policy is None or policy.solver is None or policy.solver.cuts is None)
     ):
         # Branch-and-cut by default: separation only ever strengthens the
@@ -303,6 +273,16 @@ def design(
 
     report = FallbackReport(retries=solution.stats.retries)
     if not solution.is_feasible:
+        if cutoff is not None:
+            # The caller already holds a design at the cutoff; a ladder
+            # rung would only stand in for a search that proved nothing.
+            raise InfeasibleError(
+                f"budget exhausted before any assignment beat cutoff {cutoff:g} "
+                f"for {problem.constraint_summary()}",
+                reason="cutoff",
+                stats=solution.stats,
+                proven=False,
+            )
         # Budget exhausted with no incumbent: walk the degradation ladder.
         return _degrade(problem, solution, backend, policy, report, wirelength_method)
     if solution.status is Status.FEASIBLE:
@@ -422,9 +402,12 @@ class ArchitectureSweepResult:
     lower bound already matched or exceeded the incumbent (neither is
     solved at all), or the solve capped one cycle below it found nothing.
     ``evaluated`` counts the rest — the provably infeasible ones and those
-    solved to their own optimum — so ``evaluated + pruned`` is every
-    enumerated distribution. ``dominated`` is the part of ``pruned`` that
-    dominance settled (see :func:`design_best_architecture`).
+    solved to their own optimum or as far as a budget allowed.
+    ``unproven`` counts the capped solves that a solve budget stopped with
+    nothing below the incumbent and no proof that nothing is, so
+    ``evaluated + pruned + unproven`` is every enumerated distribution.
+    ``dominated`` is the part of ``pruned`` that dominance settled (see
+    :func:`design_best_architecture`).
     ``per_architecture`` lists the evaluated distributions with their
     optimum (``None`` when infeasible); a pruned one appears nowhere.
     ``telemetry`` aggregates the solver work (and cache hits) over every
@@ -440,6 +423,7 @@ class ArchitectureSweepResult:
     infeasible: int = 0
     pruned: int = 0
     dominated: int = 0
+    unproven: int = 0
     wall_time: float = 0.0
     telemetry: RunTelemetry = field(default_factory=RunTelemetry)
 
@@ -559,7 +543,10 @@ def design_best_architecture(
             if exc.proven:
                 proven = np.vstack((proven, times))
             if exc.reason == "cutoff":
-                result.pruned += 1
+                if exc.proven:
+                    result.pruned += 1
+                else:
+                    result.unproven += 1
                 continue
             result.evaluated += 1
             result.infeasible += 1

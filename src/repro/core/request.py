@@ -30,6 +30,7 @@ in ``jobs`` dedupe onto one result.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -297,6 +298,7 @@ class SolveRequest:
                 "infeasible": result.infeasible,
                 "pruned": result.pruned,
                 "dominated": result.dominated,
+                "unproven": result.unproven,
                 "per_architecture": [
                     [list(arch.widths), makespan]
                     for arch, makespan in result.per_architecture
@@ -392,22 +394,7 @@ class SolveRequest:
                 f"request payload must be a JSON object, got {type(payload).__name__}"
             )
         data = dict(payload)
-        known = {
-            "kind",
-            "soc",
-            "widths",
-            "total_width",
-            "num_buses",
-            "time_budget",
-            "max_buses",
-            "timing",
-            "power_budget",
-            "max_pair_distance",
-            "backend",
-            "policy",
-            "jobs",
-            "options",
-        }
+        known = {spec.name for spec in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValidationError(f"unknown request field(s): {', '.join(unknown)}")

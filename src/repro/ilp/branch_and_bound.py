@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -105,10 +104,6 @@ class BranchAndBoundSolver:
         and aged out through a shared :class:`~repro.ilp.cuts.CutPool`.
         Every cut is valid for the integer hull, so the active cut rows
         stay in the LP for every node.
-    root_cuts:
-        Deprecated spelling of ``cut_policy`` (``root_cuts=N`` maps to
-        ``CutPolicy.legacy_root_cuts(N)``: N cover-only root rounds).
-        Accepted for one release behind a :class:`DeprecationWarning`.
     presolve:
         Node presolve (default on): integer bound propagation per node and
         reduced-cost fixing from the root LP duals. ``presolve=False``
@@ -155,7 +150,6 @@ class BranchAndBoundSolver:
         branching: str = "pseudocost",
         dive: bool = True,
         cut_policy: CutPolicy | None = None,
-        root_cuts: int | None = None,
         presolve: bool = True,
         root_presolve: PresolvePolicy | None = None,
         lp_warm_start: bool | None = None,
@@ -165,19 +159,6 @@ class BranchAndBoundSolver:
     ):
         if branching not in ("pseudocost", "most_fractional", "first"):
             raise ValueError(f"unknown branching rule {branching!r}")
-        if root_cuts is not None:
-            warnings.warn(
-                "root_cuts is deprecated and will be removed next release; "
-                "pass cut_policy=CutPolicy(...) instead (root_cuts=N maps to "
-                "CutPolicy.legacy_root_cuts(N))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if cut_policy is not None:
-                raise ValueError(
-                    "pass either cut_policy or the deprecated root_cuts, not both"
-                )
-            cut_policy = CutPolicy.legacy_root_cuts(int(root_cuts))
         self.model = model
         self.node_limit = node_limit
         self.gap_tol = gap_tol

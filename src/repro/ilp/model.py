@@ -301,9 +301,7 @@ class Model:
         BranchAndBoundSolver`; ``backend="scipy"`` uses HiGHS via
         ``scipy.optimize.milp``; other names resolve through
         :func:`register_backend`. Options are forwarded to the backend
-        (``gap_tol``, ``dive``, ``cut_policy``, ``warm_start`` for bnb; the
-        legacy ``root_cuts=N`` spelling still works one release behind a
-        :class:`DeprecationWarning`).
+        (``gap_tol``, ``dive``, ``cut_policy``, ``warm_start`` for bnb).
 
         ``policy`` is a :class:`~repro.obs.SolvePolicy` bounding the solve:
         its deadline / node budget / gap tolerance map onto the backend's

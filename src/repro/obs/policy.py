@@ -25,18 +25,24 @@ travel to parallel workers, and expose a canonical :meth:`cache_token`
 (the shared protocol of :mod:`repro.runtime.fingerprint`) so the solve
 cache can key on the *effective* budget — a truncated solve must never be
 replayed for an uncapped request.
+
+All five policy classes share one schema (:class:`PolicySchema`):
+``cache_token``, ``as_dict``, ``from_dict`` and ``with_overrides`` are
+derived from the dataclass fields, so a new knob is one field line. A
+field whose metadata says ``token=False`` stays out of the cache token.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-import warnings
+import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar, TypeVar
 
 #: Escalation rungs the designer knows how to run, in the order tried.
 FALLBACK_RUNGS = ("lpt", "sa")
@@ -49,9 +55,86 @@ DEFAULT_FALLBACK = ("lpt", "sa")
 #: mid-sweep inside a worker process.
 BRANCHING_RULES = ("most_fractional", "pseudocost", "first")
 
+_P = TypeVar("_P", bound="PolicySchema")
+
+
+class PolicySchema:
+    """Serializers derived from a frozen policy dataclass's fields.
+
+    ``cache_token()`` renders ``prefix(name=value,...)`` over every field in
+    declaration order, skipping those whose metadata says ``token=False``: a
+    nested policy renders its own token (``-`` when unset), a tuple renders
+    as a list, anything else as its ``repr``. ``as_dict()`` recurses into
+    nested policies and turns tuples into lists; ``from_dict()`` inverts it,
+    rejecting unknown keys so a typo cannot silently fall back to a default.
+    """
+
+    #: The token's leading name, e.g. ``cuts`` in ``cuts(rounds=3,...)``.
+    token_prefix: ClassVar[str]
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+    def cache_token(self) -> str:
+        """Canonical text of every field that shapes what a solve returns."""
+        nested = _nested_policies(type(self))
+        parts: list[str] = []
+        for spec in fields(self):
+            if not spec.metadata.get("token", True):
+                continue
+            value = getattr(self, spec.name)
+            if spec.name in nested:
+                text = "-" if value is None else value.cache_token()
+            elif isinstance(value, tuple):
+                text = repr(list(value))
+            else:
+                text = repr(value)
+            parts.append(f"{spec.name}={text}")
+        return f"{self.token_prefix}({','.join(parts)})"
+
+    if typing.TYPE_CHECKING:  # the dataclass decorator writes the real one
+
+        def __init__(self, **values: Any) -> None: ...
+
+    def with_overrides(self: _P, **changes) -> _P:
+        """A copy with the given fields replaced."""
+        return replace(self, **changes)
+
+    def as_dict(self) -> dict[str, Any]:
+        payload: dict[str, Any] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, PolicySchema):
+                value = value.as_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            payload[spec.name] = value
+        return payload
+
+    @classmethod
+    def from_dict(cls: type[_P], payload: Mapping[str, Any]) -> _P:
+        """Inverse of :meth:`as_dict` (used by request/service payloads)."""
+        unknown = sorted(set(payload) - {spec.name for spec in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+        data = dict(payload)
+        for name, nested in _nested_policies(cls).items():
+            if isinstance(data.get(name), Mapping):
+                data[name] = nested.from_dict(data[name])
+        return cls(**data)
+
+
+@functools.cache
+def _nested_policies(cls: type) -> dict[str, type[PolicySchema]]:
+    """The fields of ``cls`` typed as an (optional) nested policy."""
+    nested: dict[str, type[PolicySchema]] = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        for arg in typing.get_args(hint):
+            if isinstance(arg, type) and issubclass(arg, PolicySchema):
+                nested[name] = arg
+    return nested
+
 
 @dataclass(frozen=True)
-class CutPolicy:
+class CutPolicy(PolicySchema):
     """How (and whether) the B&B solver separates cutting planes.
 
     The solver derives a conflict graph from the pairwise-exclusion
@@ -67,6 +150,8 @@ class CutPolicy:
     contributes to :meth:`cache_token` and therefore to the solve-cache
     fingerprint (flow rule D001 audits this).
     """
+
+    token_prefix = "cuts"
 
     rounds: int = 3
     max_cuts_per_round: int = 32
@@ -107,61 +192,9 @@ class CutPolicy:
         the designer apply its default)."""
         return cls(rounds=0, max_depth=0)
 
-    @classmethod
-    def legacy_root_cuts(cls, rounds: int) -> "CutPolicy":
-        """The policy equivalent of the retired ``root_cuts=N`` kwarg:
-        N cover-only rounds at the root, 20 cuts per round."""
-        if rounds <= 0:
-            return cls.disabled()
-        return cls(
-            rounds=rounds, max_cuts_per_round=20, clique=False, cover=True, max_depth=0
-        )
-
     def backend_options(self) -> dict[str, Any]:
         """The solver kwargs this cut policy implies (bnb only)."""
         return {"cut_policy": self}
-
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        return (
-            f"cuts(rounds={self.rounds!r},max_cuts_per_round={self.max_cuts_per_round!r},"
-            f"clique={self.clique!r},cover={self.cover!r},max_depth={self.max_depth!r},"
-            f"min_violation={self.min_violation!r},max_pool={self.max_pool!r},"
-            f"max_age={self.max_age!r})"
-        )
-
-    def with_overrides(self, **changes) -> "CutPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rounds": self.rounds,
-            "max_cuts_per_round": self.max_cuts_per_round,
-            "clique": self.clique,
-            "cover": self.cover,
-            "max_depth": self.max_depth,
-            "min_violation": self.min_violation,
-            "max_pool": self.max_pool,
-            "max_age": self.max_age,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "CutPolicy":
-        known = {
-            "rounds",
-            "max_cuts_per_round",
-            "clique",
-            "cover",
-            "max_depth",
-            "min_violation",
-            "max_pool",
-            "max_age",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown CutPolicy field(s): {', '.join(unknown)}")
-        return cls(**dict(payload))
 
 
 #: The cut policy ``design()`` applies when nothing chose one explicitly.
@@ -169,7 +202,7 @@ DEFAULT_CUT_POLICY = CutPolicy()
 
 
 @dataclass(frozen=True)
-class PresolvePolicy:
+class PresolvePolicy(PolicySchema):
     """How (and whether) the root presolve engine reduces a model.
 
     Before the branch-and-bound search starts, the root presolve engine
@@ -187,6 +220,8 @@ class PresolvePolicy:
     :meth:`cache_token` and therefore to the solve-cache fingerprint
     (flow rule D001 audits this).
     """
+
+    token_prefix = "presolve"
 
     rounds: int = 4
     bound_tighten: bool = True
@@ -221,43 +256,6 @@ class PresolvePolicy:
         """The solver kwargs this presolve policy implies (bnb only)."""
         return {"root_presolve": self}
 
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        return (
-            f"presolve(rounds={self.rounds!r},bound_tighten={self.bound_tighten!r},"
-            f"dual_fix={self.dual_fix!r},singleton_cols={self.singleton_cols!r},"
-            f"coeff_tighten={self.coeff_tighten!r},row_cleanup={self.row_cleanup!r})"
-        )
-
-    def with_overrides(self, **changes) -> "PresolvePolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rounds": self.rounds,
-            "bound_tighten": self.bound_tighten,
-            "dual_fix": self.dual_fix,
-            "singleton_cols": self.singleton_cols,
-            "coeff_tighten": self.coeff_tighten,
-            "row_cleanup": self.row_cleanup,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "PresolvePolicy":
-        known = {
-            "rounds",
-            "bound_tighten",
-            "dual_fix",
-            "singleton_cols",
-            "coeff_tighten",
-            "row_cleanup",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown PresolvePolicy field(s): {', '.join(unknown)}")
-        return cls(**dict(payload))
-
 
 #: The root presolve policy the B&B solver applies when nothing chose one.
 DEFAULT_PRESOLVE_POLICY = PresolvePolicy()
@@ -270,7 +268,7 @@ PORTFOLIO_ENTRANTS = ("lpt", "sa", "bnb")
 
 
 @dataclass(frozen=True)
-class PortfolioPolicy:
+class PortfolioPolicy(PolicySchema):
     """How (and whether) the racing portfolio runs a design solve.
 
     The portfolio (:func:`repro.runtime.portfolio.run_portfolio`) races the
@@ -290,10 +288,12 @@ class PortfolioPolicy:
     (the same rule :class:`~repro.core.request.SolveRequest` applies).
     """
 
+    token_prefix = "portfolio"
+
     entrants: tuple[str, ...] = PORTFOLIO_ENTRANTS
     seed: int = 0
     sa_iterations: int = 5000
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"token": False})
 
     def __post_init__(self) -> None:
         ladder = tuple(self.entrants or ())
@@ -331,51 +331,21 @@ class PortfolioPolicy:
         """An explicit portfolio-off policy (distinct from *unset*)."""
         return cls(entrants=())
 
-    def cache_token(self) -> str:
-        """Canonical text of the result-shaping fields (``jobs`` excluded:
-        fan-out changes wall time, never the combined answer)."""
-        return (
-            f"portfolio(entrants={list(self.entrants)!r},seed={self.seed!r},"
-            f"sa_iterations={self.sa_iterations!r})"
-        )
-
-    def with_overrides(self, **changes) -> "PortfolioPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "entrants": list(self.entrants),
-            "seed": self.seed,
-            "sa_iterations": self.sa_iterations,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "PortfolioPolicy":
-        known = {"entrants", "seed", "sa_iterations", "jobs"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown PortfolioPolicy field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        if "entrants" in data and data["entrants"] is not None:
-            data["entrants"] = tuple(data["entrants"])
-        return cls(**data)
-
 
 #: The portfolio the racer runs when asked for one without details.
 DEFAULT_PORTFOLIO_POLICY = PortfolioPolicy()
 
 
 @dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(PolicySchema):
     """Structured B&B solver knobs, riding on :class:`SolvePolicy`.
 
-    Collapses the formerly scattered flat kwargs (``presolve``,
-    ``branching``, ``root_cuts``, ``checkpoint_interval``) into one
+    Every knob the B&B solver takes beyond the effort budget, as one
     frozen, picklable, fingerprintable block. ``None`` means "solver
     default" for every field.
     """
+
+    token_prefix = "solver"
 
     presolve: bool | None = None
     branching: str | None = None
@@ -431,14 +401,14 @@ class SolverOptions:
             options["checkpoint_interval"] = self.checkpoint_interval
         if self.cuts is not None:
             # Forwarded as a block: the cut kwargs name their own cache
-            # token, so `cuts` must be read by cache_token() below — flow
-            # rule D001 audits exactly that pairing.
+            # token, so `cuts` must stay in the derived cache_token() (never
+            # token=False) — flow rule D001 audits exactly that pairing.
             for key, value in self.cuts.backend_options().items():
                 options[key] = value
         if self.root_presolve is not None:
             # Forwarded as a block like cuts: the kwarg names its own cache
-            # token, so `root_presolve` must be read by cache_token() below
-            # under the same D001 pairing.
+            # token, so `root_presolve` must stay in the derived
+            # cache_token() under the same D001 pairing.
             for key, value in self.root_presolve.backend_options().items():
                 options[key] = value
         if self.warm_start is not None:
@@ -453,85 +423,30 @@ class SolverOptions:
         # `portfolio` is deliberately NOT a backend kwarg: the racer is a
         # designer-level dispatch (repro.runtime.portfolio), not a solver
         # knob — the B&B backend never sees it. It still shapes the result,
-        # so cache_token() below reads it.
+        # so it stays in the derived cache_token().
         return options
-
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        cuts = "-" if self.cuts is None else self.cuts.cache_token()
-        root_presolve = (
-            "-" if self.root_presolve is None else self.root_presolve.cache_token()
-        )
-        portfolio = "-" if self.portfolio is None else self.portfolio.cache_token()
-        return (
-            f"solver(presolve={self.presolve!r},branching={self.branching!r},"
-            f"cuts={cuts},root_presolve={root_presolve},"
-            f"warm_start={self.warm_start!r},"
-            f"checkpoint_interval={self.checkpoint_interval!r},"
-            f"portfolio={portfolio})"
-        )
-
-    def with_overrides(self, **changes) -> "SolverOptions":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "presolve": self.presolve,
-            "branching": self.branching,
-            "cuts": None if self.cuts is None else self.cuts.as_dict(),
-            "root_presolve": (
-                None if self.root_presolve is None else self.root_presolve.as_dict()
-            ),
-            "warm_start": self.warm_start,
-            "checkpoint_interval": self.checkpoint_interval,
-            "portfolio": None if self.portfolio is None else self.portfolio.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "SolverOptions":
-        known = {
-            "presolve",
-            "branching",
-            "cuts",
-            "root_presolve",
-            "warm_start",
-            "checkpoint_interval",
-            "portfolio",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown SolverOptions field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        cuts = data.get("cuts")
-        if isinstance(cuts, Mapping):
-            data["cuts"] = CutPolicy.from_dict(cuts)
-        root_presolve = data.get("root_presolve")
-        if isinstance(root_presolve, Mapping):
-            data["root_presolve"] = PresolvePolicy.from_dict(root_presolve)
-        portfolio = data.get("portfolio")
-        if isinstance(portfolio, Mapping):
-            data["portfolio"] = PortfolioPolicy.from_dict(portfolio)
-        return cls(**data)
-
-
-#: Flat ``SolvePolicy.from_dict`` spellings still accepted, one release,
-#: behind a DeprecationWarning; they fold into the nested ``solver`` block.
-_FLAT_SOLVER_KEYS = ("presolve", "branching", "root_cuts", "checkpoint_interval")
 
 
 @dataclass(frozen=True)
-class SolvePolicy:
-    """Effort budget + resilience behavior for one (or many) solves."""
+class SolvePolicy(PolicySchema):
+    """Effort budget + resilience behavior for one (or many) solves.
+
+    The effort budget and the solver block shape what a solve returns, so
+    they make up :meth:`cache_token`. Retries and the fallback ladder re-run
+    or replace a solve but never alter what a completed solve would have
+    produced, and checkpoints only resume one, so those fields stay out.
+    """
+
+    token_prefix = "policy"
 
     deadline: float | None = None
     node_budget: int | None = None
     gap_tol: float | None = None
-    max_retries: int = 0
-    retry_backoff: float = 0.25
-    fallback: tuple[str, ...] = DEFAULT_FALLBACK
-    fallback_seed: int = 0
-    checkpoint_dir: str | None = None
+    max_retries: int = field(default=0, metadata={"token": False})
+    retry_backoff: float = field(default=0.25, metadata={"token": False})
+    fallback: tuple[str, ...] = field(default=DEFAULT_FALLBACK, metadata={"token": False})
+    fallback_seed: int = field(default=0, metadata={"token": False})
+    checkpoint_dir: str | None = field(default=None, metadata={"token": False})
     solver: SolverOptions | None = None
 
     def __post_init__(self) -> None:
@@ -585,100 +500,11 @@ class SolvePolicy:
                 options["checkpoint_dir"] = self.checkpoint_dir
         if self.solver is not None:
             # Forwarded as a block: the nested kwargs carry their own cache
-            # tokens, so `solver` must be read by cache_token() — flow rule
-            # D001 audits exactly that pairing.
+            # tokens, so `solver` must stay in the derived cache_token() —
+            # flow rule D001 audits exactly that pairing.
             for key, value in self.solver.backend_options(backend).items():
                 options[key] = value
         return options
-
-    def cache_token(self) -> str:
-        """Canonical text of the fields that change what a solve returns.
-
-        The effort budget and the solver block matter for the cache key:
-        retries and the fallback ladder re-run or replace a solve but
-        never alter what a completed solve would have produced.
-        """
-        solver = "-" if self.solver is None else self.solver.cache_token()
-        return (
-            f"policy(deadline={self.deadline!r},node_budget={self.node_budget!r},"
-            f"gap_tol={self.gap_tol!r},solver={solver})"
-        )
-
-    def with_overrides(self, **changes) -> "SolvePolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "deadline": self.deadline,
-            "node_budget": self.node_budget,
-            "gap_tol": self.gap_tol,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "fallback": list(self.fallback),
-            "fallback_seed": self.fallback_seed,
-            "checkpoint_dir": self.checkpoint_dir,
-            "solver": None if self.solver is None else self.solver.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "SolvePolicy":
-        """Inverse of :meth:`as_dict` (used by request/service payloads).
-
-        Unknown keys are rejected so a typo'd budget field cannot silently
-        produce an uncapped solve. The retired flat solver spellings
-        (``presolve``, ``branching``, ``root_cuts``,
-        ``checkpoint_interval``) are still accepted for one release —
-        behind a :class:`DeprecationWarning` — and fold into the nested
-        ``solver`` block.
-        """
-        known = {
-            "deadline",
-            "node_budget",
-            "gap_tol",
-            "max_retries",
-            "retry_backoff",
-            "fallback",
-            "fallback_seed",
-            "checkpoint_dir",
-            "solver",
-        } | set(_FLAT_SOLVER_KEYS)
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown SolvePolicy field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        flat = {key: data.pop(key) for key in _FLAT_SOLVER_KEYS if key in data}
-        if flat:
-            warnings.warn(
-                f"flat solver key(s) {sorted(flat)} in SolvePolicy.from_dict are "
-                "deprecated and will be rejected next release; nest them under "
-                "'solver', e.g. {'solver': {'presolve': ..., 'branching': ..., "
-                "'cuts': {'rounds': ...}}} (SolverOptions / CutPolicy)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            nested = data.get("solver")
-            if isinstance(nested, Mapping):
-                nested = SolverOptions.from_dict(nested)
-            nested_dict = {} if nested is None else dict(nested.as_dict())
-            for key, value in flat.items():
-                target = "cuts" if key == "root_cuts" else key
-                if nested_dict.get(target) is not None:
-                    raise ValueError(
-                        f"SolvePolicy.from_dict got both flat {key!r} and "
-                        f"solver.{target}; use the nested spelling only"
-                    )
-                if key == "root_cuts":
-                    nested_dict["cuts"] = CutPolicy.legacy_root_cuts(int(value)).as_dict()
-                else:
-                    nested_dict[target] = value
-            data["solver"] = SolverOptions.from_dict(nested_dict)
-        elif isinstance(data.get("solver"), Mapping):
-            data["solver"] = SolverOptions.from_dict(data["solver"])
-        if "fallback" in data and data["fallback"] is not None:
-            data["fallback"] = tuple(data["fallback"])
-        return cls(**data)
-
 
 @dataclass
 class FallbackReport:

@@ -10,7 +10,7 @@ instance, rendered as a one-line footer and exported through the CLI's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.ilp.solution import SolveStats
 
@@ -54,19 +54,8 @@ class RunTelemetry:
             self.cache_hits += 1
             return
         self.cache_misses += 1
-        self.nodes += stats.nodes
-        self.lp_solves += stats.lp_solves
-        self.lp_iterations += stats.lp_iterations
-        self.incumbent_updates += stats.incumbent_updates
-        self.presolve_fixings += stats.presolve_fixings
-        self.presolve_pruned += stats.presolve_pruned
-        self.cuts += stats.cuts
-        self.root_cols_removed += stats.root_cols_removed
-        self.root_rows_removed += stats.root_rows_removed
-        self.warm_lp_solves += stats.warm_lp_solves
-        self.warm_lp_fallbacks += stats.warm_lp_fallbacks
-        self.wall_time += stats.wall_time
-        self.retries += stats.retries
+        for name in _SOLVE_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(stats, name))
 
     def record_fallback(self, report) -> None:
         """Count one degraded design (see :class:`repro.obs.FallbackReport`).
@@ -94,26 +83,8 @@ class RunTelemetry:
         """Fold another run's counters into this one (``jobs`` keeps ours)."""
         if other is None:
             return
-        self.solves += other.solves
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.nodes += other.nodes
-        self.lp_solves += other.lp_solves
-        self.lp_iterations += other.lp_iterations
-        self.incumbent_updates += other.incumbent_updates
-        self.presolve_fixings += other.presolve_fixings
-        self.presolve_pruned += other.presolve_pruned
-        self.cuts += other.cuts
-        self.root_cols_removed += other.root_cols_removed
-        self.root_rows_removed += other.root_rows_removed
-        self.warm_lp_solves += other.warm_lp_solves
-        self.warm_lp_fallbacks += other.warm_lp_fallbacks
-        self.wall_time += other.wall_time
-        self.retries += other.retries
-        self.fallbacks += other.fallbacks
-        self.portfolio_runs += other.portfolio_runs
-        self.portfolio_heuristic_wins += other.portfolio_heuristic_wins
-        self.portfolio_cross_fed += other.portfolio_cross_fed
+        for name in _MERGED_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -143,3 +114,14 @@ class RunTelemetry:
         if self.portfolio_runs:
             line += f", {self.portfolio_runs} portfolio races"
         return line
+
+
+#: What a fresh solve adds to the run: every counter shared with SolveStats.
+_SOLVE_COUNTERS = tuple(
+    spec.name
+    for spec in fields(RunTelemetry)
+    if spec.name in {stat.name for stat in fields(SolveStats)}
+)
+
+#: What merge() folds: every field but ``jobs``, which keeps the receiver's.
+_MERGED_COUNTERS = tuple(spec.name for spec in fields(RunTelemetry) if spec.name != "jobs")

@@ -227,61 +227,49 @@ class TestD001SeededMutations:
         assert offenders, "new result-affecting kwarg skipped the fingerprint"
         assert any("branching_hint" in d.message for d in offenders)
 
-    def test_deleting_solver_block_token_contribution_fires(self, mutable_tree):
-        # PR-8 regression guard: SolvePolicy.cache_token must keep reading
-        # the nested solver block; dropping it would alias cuts-on and
-        # cuts-off solves to one cache entry.
-        policy = mutable_tree / "obs" / "policy.py"
+    def mark_untokened(self, tree, declaration):
+        """Mark one policy field ``token=False``: out of the derived token."""
+        policy = tree / "obs" / "policy.py"
         text = policy.read_text()
-        needle = 'solver = "-" if self.solver is None else self.solver.cache_token()'
-        assert needle in text, "expected the solver-block token read to delete"
-        policy.write_text(text.replace(needle, 'solver = "-"'))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
+        needle = f"    {declaration} = None\n"
+        assert text.count(needle) == 1, f"expected one {declaration!r} field to mark"
+        policy.write_text(
+            text.replace(
+                needle,
+                f'    {declaration} = field(default=None, metadata={{"token": False}})\n',
+            )
+        )
+        return [d for d in self.run_rules(tree).diagnostics if d.rule == "D001"]
+
+    def test_deleting_solver_block_token_contribution_fires(self, mutable_tree):
+        # PR-8 regression guard: SolvePolicy's token must keep the nested
+        # solver block; dropping it would alias cuts-on and cuts-off solves
+        # to one cache entry.
+        offenders = self.mark_untokened(mutable_tree, "solver: SolverOptions | None")
         assert offenders, "solver block dropped from the policy token undetected"
-        assert any("solver" in d.message for d in offenders)
+        assert any("SolvePolicy.solver" in d.message for d in offenders)
 
     def test_deleting_cut_policy_token_contribution_fires(self, mutable_tree):
-        # Same guard one level down: SolverOptions.cache_token must keep
-        # reading the CutPolicy field it forwards to the backend.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = 'cuts = "-" if self.cuts is None else self.cuts.cache_token()'
-        assert needle in text, "expected the cuts token read to delete"
-        policy.write_text(text.replace(needle, 'cuts = "-"'))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
+        # Same guard one level down: SolverOptions' token must keep the
+        # CutPolicy field it forwards to the backend.
+        offenders = self.mark_untokened(mutable_tree, "cuts: CutPolicy | None")
         assert offenders, "cut policy dropped from the solver token undetected"
-        assert any("cuts" in d.message for d in offenders)
+        assert any("SolverOptions.cuts" in d.message for d in offenders)
 
     def test_deleting_root_presolve_token_contribution_fires(self, mutable_tree):
-        # PR-9 regression guard: SolverOptions.cache_token must keep reading
-        # the PresolvePolicy field; dropping it would alias presolve-on and
+        # PR-9 regression guard: SolverOptions' token must keep the
+        # PresolvePolicy field; dropping it would alias presolve-on and
         # presolve-off solves (different vertices, stats) to one cache entry.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = (
-            '"-" if self.root_presolve is None else self.root_presolve.cache_token()'
-        )
-        assert needle in text, "expected the root_presolve token read to delete"
-        policy.write_text(text.replace(needle, '"-"'))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
+        offenders = self.mark_untokened(mutable_tree, "root_presolve: PresolvePolicy | None")
         assert offenders, "presolve policy dropped from the solver token undetected"
-        assert any("root_presolve" in d.message for d in offenders)
+        assert any("SolverOptions.root_presolve" in d.message for d in offenders)
 
     def test_deleting_warm_start_token_contribution_fires(self, mutable_tree):
         # Same guard for the node-LP warm-start toggle: warm and cold solves
         # may return different optimal vertices and always differ in stats.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = "warm_start={self.warm_start!r},"
-        assert needle in text, "expected the warm_start token read to delete"
-        policy.write_text(text.replace(needle, ""))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
+        offenders = self.mark_untokened(mutable_tree, "warm_start: bool | None")
         assert offenders, "warm_start dropped from the solver token undetected"
-        assert any("warm_start" in d.message for d in offenders)
+        assert any("SolverOptions.warm_start" in d.message for d in offenders)
 
     def test_policy_field_outside_token_and_options_fires(self, tmp_path):
         project = project_from(
@@ -304,6 +292,37 @@ class TestD001SeededMutations:
         report = run_project_rules(project)
         assert d_rules(report) == ["D001"]
         assert "lp_method" in report.diagnostics[0].message
+
+    def test_inherited_derived_token_skips_untokened_fields(self, tmp_path):
+        project = project_from(
+            tmp_path,
+            {
+                "pol.py": """\
+                    from dataclasses import dataclass, field, fields
+
+                    class Schema:
+                        def cache_token(self):
+                            return ",".join(
+                                spec.name for spec in fields(self)
+                                if spec.metadata.get("token", True)
+                            )
+
+                    @dataclass(frozen=True)
+                    class Policy(Schema):
+                        deadline: float = 1.0
+                        lp_method: str = field(default="dual", metadata={"token": False})
+
+                        def backend_options(self, backend):
+                            options = {}
+                            if self.deadline and self.lp_method == "dual":
+                                pass
+                            return options
+                    """
+            },
+        )
+        report = run_project_rules(project)
+        assert d_rules(report) == ["D001"]
+        assert "Policy.lp_method" in report.diagnostics[0].message
 
     def test_request_field_outside_token_and_options_fires(self, tmp_path):
         project = project_from(

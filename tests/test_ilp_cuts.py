@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.api import CutPolicy
 from repro.ilp import Model, Status, quicksum
+from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.cuts import Cut, CutPool, append_cuts, generate_cover_cuts
 from repro.ilp.lp import solve_matrix_lp
 
@@ -116,13 +117,13 @@ class TestCutsInBnb:
         sol = m.solve(cut_policy=CutPolicy(rounds=3, max_depth=0), dive=False)
         assert sol.stats.nodes <= m.solve(dive=False).stats.nodes
 
-    def test_root_cuts_kwarg_warns_and_still_works(self):
+    def test_root_cuts_kwarg_rejected(self):
+        # The retired spelling of cut_policy is an unknown solver kwarg.
         m, _ = fractional_knapsack_model()
-        plain = m.solve()
-        with pytest.warns(DeprecationWarning, match="root_cuts"):
-            shimmed = m.solve(root_cuts=3)
-        assert shimmed.objective == pytest.approx(plain.objective)
-        assert shimmed.stats.cuts > 0
+        with pytest.raises(TypeError, match="root_cuts"):
+            m.solve(root_cuts=3, cache=False)
+        with pytest.raises(TypeError, match="root_cuts"):
+            BranchAndBoundSolver(m, root_cuts=3)
 
     @given(st.integers(0, 200))
     @settings(max_examples=25)

@@ -112,13 +112,6 @@ class TestCutPolicyObject:
         assert not CutPolicy(clique=False, cover=False).enabled
         assert CutPolicy(rounds=0, max_depth=2).enabled  # in-tree only
 
-    def test_legacy_root_cuts_mapping(self):
-        legacy = CutPolicy.legacy_root_cuts(4)
-        assert legacy.rounds == 4
-        assert legacy.cover and not legacy.clique
-        assert legacy.max_depth == 0  # old root_cuts never cut in-tree
-        assert not CutPolicy.legacy_root_cuts(0).enabled
-
     def test_dict_round_trip_and_unknown_keys(self):
         policy = CutPolicy(rounds=5, clique=False, max_depth=1)
         assert CutPolicy.from_dict(policy.as_dict()) == policy
@@ -262,20 +255,17 @@ class TestSolverOptionsBlock:
         )
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
-    def test_flat_keys_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="presolve"):
-            policy = SolvePolicy.from_dict({"node_budget": 3, "presolve": False})
-        assert policy.node_budget == 3
-        assert policy.solver == SolverOptions(presolve=False)
-        with pytest.warns(DeprecationWarning, match="root_cuts"):
-            policy = SolvePolicy.from_dict({"root_cuts": 2})
-        assert policy.solver.cuts == CutPolicy.legacy_root_cuts(2)
+    def test_flat_keys_rejected(self):
+        # The flat solver spellings are unknown SolvePolicy fields: they
+        # belong under the nested solver block (SolverOptions / CutPolicy).
+        for key in ("presolve", "branching", "root_cuts", "checkpoint_interval"):
+            with pytest.raises(ValueError, match=f"unknown SolvePolicy field.*{key}"):
+                SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
-    def test_flat_and_nested_conflict_rejected(self):
+    def test_flat_and_nested_keys_rejected(self):
         payload = {"presolve": False, "solver": {"presolve": True}}
-        with pytest.raises(ValueError, match="both"):
-            with pytest.warns(DeprecationWarning):
-                SolvePolicy.from_dict(payload)
+        with pytest.raises(ValueError, match="presolve"):
+            SolvePolicy.from_dict(payload)
 
     def test_block_is_picklable(self):
         import pickle

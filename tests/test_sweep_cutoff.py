@@ -233,6 +233,51 @@ def _split_times(soc, total_width, num_buses, **constraints):
     ]
 
 
+class TestBudgetedSweep:
+    @pytest.mark.parametrize("portfolio", [None, PortfolioPolicy()])
+    def test_budget_stopped_cutoff_solve_raises_unproven(self, s1, portfolio):
+        # The portfolio's exact leg passes the error on like a proven one.
+        problem = DesignProblem(soc=s1, arch=TamArchitecture((31, 9)), timing="serial")
+        policy = SolvePolicy(node_budget=1, solver=SolverOptions(portfolio=portfolio))
+        with pytest.raises(InfeasibleError) as info:
+            design(problem, cache=False, policy=policy, cutoff=8935)
+        assert info.value.reason == "cutoff"
+        assert not info.value.proven
+        assert isinstance(info.value.stats, SolveStats)
+
+    def test_budget_stopped_cutoff_solve_is_unproven_not_a_heuristic(self, s1, monkeypatch):
+        # One node per solve: once the sweep holds 8935 cycles, splits
+        # (31,9)...(25,15) stop with nothing below it. No ladder rung may
+        # stand in for them, and nothing was proven about them.
+        import repro.core.designer as designer
+
+        real = designer.design
+        provenance: dict[tuple[int, ...], str] = {}
+        unproven: list[tuple[int, ...]] = []
+
+        def recording_design(problem, **kwargs):
+            try:
+                candidate = real(problem, **kwargs)
+            except InfeasibleError as exc:
+                if not exc.proven:
+                    assert exc.reason == "cutoff" and exc.stats is not None
+                    unproven.append(problem.arch.widths)
+                raise
+            provenance[problem.arch.widths] = candidate.provenance
+            return candidate
+
+        monkeypatch.setattr(designer, "design", recording_design)
+        sweep = design_best_architecture(
+            s1, 40, 2, timing="serial", policy=SolvePolicy(node_budget=1), cache=False
+        )
+        assert not [w for w, source in provenance.items() if source in ("lpt", "sa")]
+        assert {(31, 9), (25, 15)} <= set(unproven)
+        assert sweep.unproven == len(unproven)
+        assert not {widths for widths, _ in sweep.per_architecture} & set(unproven)
+        splits = list(TamArchitecture.enumerate_distributions(40, 2))
+        assert sweep.evaluated + sweep.pruned + sweep.unproven == len(splits)
+
+
 class TestDominatedSplits:
     """A split no faster than an earlier proven split is settled unsolved."""
 
